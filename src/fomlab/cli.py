@@ -87,7 +87,7 @@ def _load(path):
             return load_instance(fp)
     except OSError as exc:
         raise _fail_usage(f"cannot read instance {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise _fail_usage(f"malformed instance {path}: {exc}") from exc
 
 
@@ -197,7 +197,9 @@ def run(instance_path, alg, seed, trace, fmt, out):
     default="ranking",
     show_default=True,
 )
-@click.option("--trials", type=int, default=100, show_default=True)
+@click.option(
+    "--trials", type=click.IntRange(min=1), default=100, show_default=True
+)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_workers_opt
 @_format_opt
@@ -247,7 +249,9 @@ def ratio(instance_path, family, k, h, alg, trials, seed, workers, fmt, out):
     show_default=True,
 )
 @click.option("--target", type=float, required=True)
-@click.option("--trials", type=int, default=10000, show_default=True)
+@click.option(
+    "--trials", type=click.IntRange(min=1), default=10000, show_default=True
+)
 @click.option("--seed", type=int, default=0, show_default=True)
 @_workers_opt
 @_format_opt

@@ -4,7 +4,9 @@ empirical verification of the two dual-feasibility conditions.
 Per-run duals follow the two-step rule literally: gain sharing on matched
 edges, then a compensation h(y_passive_partner) from every active vertex
 that has a victim.  Victims are identified post hoc via counterfactual runs
-with the active vertex removed, one per vertex, after the full stream.
+with the active vertex removed.  The batch path replays only the rows where
+the removed vertex could have a victim, starting at its own deadline from
+the base run's state there; `find_victim` keeps the full replay.
 """
 
 from __future__ import annotations
@@ -22,11 +24,19 @@ from .engine import (
     RankAssignment,
     Role,
     Side,
+    resume_ranking_batch,
     run_ranking,
     run_ranking_batch,
     run_without,
 )
-from .errors import ChargingInvalid, NotActive, RankMissing, TooLarge
+from .errors import (
+    ChargingInvalid,
+    InvariantViolated,
+    NotActive,
+    ParamsInvalid,
+    RankMissing,
+    TooLarge,
+)
 from .instance import Instance
 
 COND1_TOL = 1e-9
@@ -82,7 +92,8 @@ def find_victim(
         for z in instance.adj[w]
         if not outcome.is_matched(z) and without.is_matched(z)
     ]
-    assert len(victims) <= 1, f"multiple victims for {w}: {victims}"
+    if len(victims) > 1:
+        raise InvariantViolated(f"multiple victims for {w}: {victims}")
     return victims[0] if victims else None
 
 
@@ -110,9 +121,11 @@ def assign_duals(
             comp_out[v] = amount
             comp_in[z] += amount
             victim_of[v] = z
-            assert z != v and outcome.is_matched(v)
+            if z == v:
+                raise InvariantViolated(f"vertex {v} is its own victim")
     alpha = [g + ci - co for g, ci, co in zip(gain, comp_in, comp_out)]
-    assert all(a >= -COND1_TOL for a in alpha)
+    if any(a < -COND1_TOL for a in alpha):
+        raise InvariantViolated(f"negative dual {min(alpha)}")
     return DualAssignment(
         alpha=tuple(alpha),
         gain=tuple(gain),
@@ -148,25 +161,43 @@ def simulate_alphas_batch(
         alpha[sel, v] += 1.0 - gp
         alpha[rows[sel], p] += gp
 
-    # compensations via counterfactual runs, one removed vertex at a time
+    # compensations: w's victim is a neighbor left unmatched with w present
+    # and matched once w is removed.  Only rows where w is active and has an
+    # unmatched neighbor can hold one.  The run without w agrees with the
+    # base run until w's own deadline (Ranking is lazy and never picked w
+    # before it), so each replay starts there, from the base pairs whose
+    # active endpoint's deadline came earlier.
+    step = np.empty(n, dtype=np.int32)
+    step[list(instance.deadline_order)] = np.arange(n, dtype=np.int32)
+    # step at which each matched vertex's pair formed (unused if unmatched)
+    formed = np.where(active, step, step[np.maximum(partner, 0)])
     for w in range(n):
-        if not active[:, w].any() or not instance.adj[w]:
+        nbrs = np.array(instance.adj[w], dtype=np.int64)
+        if not len(nbrs):
             continue
-        partner_wo, _ = run_ranking_batch(instance, ranks_matrix, removed=w)
-        victim = np.full(trials, -1, dtype=np.int64)
-        vic_count = np.zeros(trials, dtype=np.int64)
-        for z in instance.adj[w]:
-            hit = active[:, w] & (partner[:, z] < 0) & (partner_wo[:, z] >= 0)
-            victim[hit] = z
-            vic_count += hit
-        assert vic_count.max(initial=0) <= 1, "victim uniqueness violated"
-        sel = victim >= 0
-        if not sel.any():
+        free = partner[:, nbrs] < 0
+        cand = np.flatnonzero(active[:, w] & free.any(axis=1))
+        if not len(cand):
             continue
-        p = partner[sel, w]
-        amount = charging.h_limit_grid(ranks_matrix[sel, p])
-        alpha[sel, w] -= amount
-        alpha[rows[sel], victim[sel]] += amount
+        t = int(step[w])
+        early = formed[cand] < t
+        partner_wo = np.where(early, partner[cand], -1)
+        active_wo = active[cand] & early
+        resume_ranking_batch(
+            instance, ranks_matrix[cand], partner_wo, active_wo, t, removed=w
+        )
+        hit = free[cand] & (partner_wo[:, nbrs] >= 0)
+        if hit.sum(axis=1).max() > 1:
+            raise InvariantViolated(f"multiple victims for vertex {w}")
+        has_victim = hit.any(axis=1)
+        if not has_victim.any():
+            continue
+        vrows = cand[has_victim]
+        victim = nbrs[hit[has_victim].argmax(axis=1)]
+        p = partner[vrows, w]
+        amount = charging.h_limit_grid(ranks_matrix[vrows, p])
+        alpha[vrows, w] -= amount
+        alpha[vrows, victim] += amount
 
     return alpha, active.sum(axis=1)
 
@@ -242,6 +273,8 @@ def _edge_statistics(
     seed: int,
     workers=None,
 ) -> tuple[list[EdgeEstimate], int]:
+    if trials < 1:
+        raise ParamsInvalid(f"need trials >= 1, got {trials}")
     sizes = chunk_sizes(trials)
     args = [
         (instance, charging, seed, cid, size) for cid, size in enumerate(sizes)

@@ -4,7 +4,8 @@ Both Ranking and Greedy are lazy: all decisions happen at deadline events.
 The deadline vertex of each matched pair is labeled active, its partner
 passive.  `run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
-scalar engine in the test suite.
+scalar engine in the test suite.  `resume_ranking_batch` is its loop, which
+can also continue a batch from a mid-stream state.
 """
 
 from __future__ import annotations
@@ -198,8 +199,26 @@ def run_ranking_batch(
         raise RankMissing(f"rank matrix covers {n} of {instance.n} vertices")
     partner = np.full((trials, n), -1, dtype=np.int32)
     active = np.zeros((trials, n), dtype=bool)
-    rows = np.arange(trials)
-    for v in instance.deadline_order:
+    resume_ranking_batch(instance, ranks_matrix, partner, active, 0, removed)
+    return partner, active
+
+
+def resume_ranking_batch(
+    instance: Instance,
+    ranks_matrix: np.ndarray,
+    partner: np.ndarray,
+    active: np.ndarray,
+    start: int,
+    removed: Optional[int] = None,
+) -> None:
+    """Run the deadlines deadline_order[start:] on every row, updating
+    partner and active in place.
+
+    The caller supplies the state Ranking had just before step `start`;
+    `run_ranking_batch` is this loop started from the empty matching.
+    """
+    rows = np.arange(len(ranks_matrix))
+    for v in instance.deadline_order[start:]:
         if v == removed:
             continue
         nbrs = [u for u in instance.adj[v] if u != removed]
@@ -217,4 +236,3 @@ def run_ranking_batch(
         partner[rsel, v] = chosen
         partner[rsel, chosen] = v
         active[rsel, v] = True
-    return partner, active

@@ -51,3 +51,7 @@ class OutOfDomain(FomlabError):
 
 class ParamsInvalid(FomlabError):
     pass
+
+
+class InvariantViolated(FomlabError):
+    """A paper invariant failed to hold; this signals a bug, not bad input."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._parallel import chunk_sizes, run_chunked
 from .engine import run_greedy, run_ranking, run_ranking_batch, sample_ranks
-from .errors import ParamsInvalid
+from .errors import InvariantViolated, ParamsInvalid
 from .instance import A, D, Event, Instance, build_instance
 from .oracle import max_matching_bipartite, max_matching_general
 
@@ -132,7 +132,10 @@ def adversary_p_sequence(k: int, h: int) -> list[float]:
         ps.append((1.0 - ps[-1]) / (k + 1))
     for i, p in enumerate(ps):
         closed = (1.0 / (k + 2)) * (1.0 - (-1.0 / (k + 1)) ** i)
-        assert abs(p - closed) < RECURRENCE_TOL, (i, p, closed)
+        if abs(p - closed) >= RECURRENCE_TOL:
+            raise InvariantViolated(
+                f"p_{i} = {p} disagrees with its closed form {closed}"
+            )
     return ps
 
 

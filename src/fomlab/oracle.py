@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .errors import NotBipartite, TooLarge
+from .errors import InvariantViolated, NotBipartite, TooLarge
 from .instance import Instance
 
 BRUTEFORCE_EDGE_BUDGET = 24
@@ -29,8 +29,10 @@ def _check_witness(instance: Instance, witness) -> None:
     edge_set = set(instance.edges)
     used: set[int] = set()
     for u, v in witness:
-        assert (min(u, v), max(u, v)) in edge_set, "witness edge not in graph"
-        assert u not in used and v not in used, "witness is not a matching"
+        if (min(u, v), max(u, v)) not in edge_set:
+            raise InvariantViolated(f"witness edge {(u, v)} not in graph")
+        if u in used or v in used:
+            raise InvariantViolated("witness is not a matching")
         used.add(u)
         used.add(v)
 

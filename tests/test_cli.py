@@ -147,6 +147,52 @@ def test_verify_duals_empty_edges_header_only(tmp_path):
     assert res.stdout.strip() == "u,v,mean,stderr,trials"
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_nonpositive_trials_exit_2(instance_file, trials):
+    for args in (
+        ["verify-duals", "--instance", str(instance_file), "--target", "0.5"],
+        ["ratio", "--instance", str(instance_file)],
+    ):
+        res = run_cli(*args, "--trials", trials)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def _instance_json(**overrides):
+    data = {
+        "n": 2,
+        "events": [
+            {"kind": "arrival", "v": 0}, {"kind": "arrival", "v": 1},
+            {"kind": "deadline", "v": 0}, {"kind": "deadline", "v": 1},
+        ],
+        "edges": [[0, 1]],
+        "bipartition": None,
+    }
+    data.update(overrides)
+    return json.dumps(data)
+
+
+def test_malformed_event_kind_exits_2(tmp_path):
+    path = tmp_path / "bad_kind.json"
+    path.write_text(_instance_json(events=[
+        {"kind": "arrival", "v": 0}, {"kind": "arrival", "v": 1},
+        {"kind": "leave", "v": 0}, {"kind": "deadline", "v": 1},
+    ]))
+    res = run_cli("run", "--instance", str(path))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "malformed instance" in res.stderr
+
+
+def test_three_element_edge_exits_2(tmp_path):
+    path = tmp_path / "bad_edge.json"
+    path.write_text(_instance_json(edges=[[0, 1, 2]]))
+    res = run_cli("opt", "--instance", str(path))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "malformed instance" in res.stderr
+
+
 def test_check_charging_piecewise():
     res = run_cli("check-charging", "--kind", "piecewise", "--grid", "1e-3")
     assert res.returncode == 0

@@ -14,9 +14,15 @@ from fomlab.dual import (
     simulate_alphas_batch,
     verify_feasibility,
 )
-from fomlab.engine import Role, ranks_from_values, run_ranking, sample_ranks
-from fomlab.errors import NotActive, RankMissing, TooLarge
-from fomlab.instance import A, D, build_instance
+from fomlab.engine import (
+    Role,
+    ranks_from_values,
+    run_ranking,
+    run_ranking_batch,
+    sample_ranks,
+)
+from fomlab.errors import NotActive, ParamsInvalid, RankMissing, TooLarge
+from fomlab.instance import A, D, build_instance, random_instance
 
 
 def test_marginal_rank_single_edge():
@@ -155,6 +161,88 @@ def test_batch_alphas_match_scalar(small_instances):
                 d = assign_duals(inst, ranks, charging)
                 assert np.allclose(alpha[i], d.alpha, atol=1e-12), (inst, i)
                 assert msize[i] == run_ranking(inst, ranks).size
+
+
+def _alphas_full_replay(inst, charging, matrix):
+    """Reference for simulate_alphas_batch: one full counterfactual replay
+    of every row per active vertex.  Also returns the number of (row,
+    vertex) pairs that paid a compensation."""
+    trials, n = matrix.shape
+    partner, active = run_ranking_batch(inst, matrix)
+    alpha = np.zeros((trials, n))
+    rows = np.arange(trials)
+    for v in range(n):
+        sel = active[:, v]
+        if not sel.any():
+            continue
+        p = partner[sel, v]
+        gp = charging.g_limit_grid(matrix[sel, p])
+        alpha[sel, v] += 1.0 - gp
+        alpha[rows[sel], p] += gp
+    paid = 0
+    for w in range(n):
+        if not active[:, w].any() or not inst.adj[w]:
+            continue
+        partner_wo, _ = run_ranking_batch(inst, matrix, removed=w)
+        victim = np.full(trials, -1, dtype=np.int64)
+        for z in inst.adj[w]:
+            hit = active[:, w] & (partner[:, z] < 0) & (partner_wo[:, z] >= 0)
+            assert not (hit & (victim >= 0)).any()
+            victim[hit] = z
+        sel = victim >= 0
+        paid += int(sel.sum())
+        if not sel.any():
+            continue
+        p = partner[sel, w]
+        amount = charging.h_limit_grid(matrix[sel, p])
+        alpha[sel, w] -= amount
+        alpha[rows[sel], victim[sel]] += amount
+    return alpha, active.sum(axis=1), paid
+
+
+def _assert_matches_full_replay(inst, charging, matrix):
+    alpha, msize = simulate_alphas_batch(inst, charging, matrix)
+    ref_alpha, ref_msize, paid = _alphas_full_replay(inst, charging, matrix)
+    assert np.array_equal(alpha, ref_alpha)
+    assert np.array_equal(msize, ref_msize)
+    return paid
+
+
+def test_batch_alphas_match_full_replay_small(small_instances):
+    rng = np.random.default_rng(21)
+    paid = 0
+    for inst in small_instances:
+        matrix = rng.random((200, inst.n))
+        for charging in (EXPONENTIAL, PIECEWISE):
+            paid += _assert_matches_full_replay(inst, charging, matrix)
+    assert paid > 0
+
+
+def test_batch_alphas_match_full_replay_random():
+    rng = np.random.default_rng(22)
+    paid = {False: 0, True: 0}
+    for i in range(24):
+        n = int(rng.integers(2, 41))
+        bipartite = bool(i % 2)
+        inst = random_instance(n, float(rng.uniform(0.1, 0.6)), bipartite, 300 + i)
+        charging = PIECEWISE if i % 4 < 2 else EXPONENTIAL
+        matrix = rng.random((128, n))
+        paid[bipartite] += _assert_matches_full_replay(inst, charging, matrix)
+    assert paid[False] > 0
+
+
+def test_batch_alphas_match_full_replay_n160():
+    inst = random_instance(160, 0.025, False, 7)
+    matrix = np.random.default_rng(23).random((256, inst.n))
+    assert _assert_matches_full_replay(inst, PIECEWISE, matrix) > 0
+
+
+def test_trials_must_be_positive():
+    for trials in (0, -5):
+        with pytest.raises(ParamsInvalid):
+            verify_feasibility(path(3), EXPONENTIAL, 0.5, trials, 0)
+        with pytest.raises(ParamsInvalid):
+            estimate_edge_cover(path(3), (0, 1), EXPONENTIAL, trials, 0)
 
 
 def test_estimate_edge_cover_single_edge_exponential():

@@ -81,3 +81,33 @@ def test_witnesses_are_matchings(small_instances):
             assert (u, v) in inst.edges
             assert u not in used and v not in used
             used.update((u, v))
+
+
+def test_witness_check_survives_optimize_flag():
+    """The witness check is a raise, not an assert, so `python -O` keeps it."""
+    import os
+    import subprocess
+    import sys
+
+    import fomlab
+
+    code = (
+        "from fomlab.errors import InvariantViolated\n"
+        "from fomlab.instance import A, D, build_instance\n"
+        "from fomlab.oracle import _check_witness\n"
+        "inst = build_instance(3, [A(0), A(1), A(2), D(0), D(1), D(2)], [(0, 1)])\n"
+        "try:\n"
+        "    _check_witness(inst, {(1, 2)})\n"
+        "except InvariantViolated:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(fomlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "raised"
