@@ -1,10 +1,11 @@
 """Experiment harness: generate instances, run algorithms, verify bounds.
 
-Exit codes: 0 success, 1 verification failure (a failing dual edge or a
-charging property violation), 2 usage or I/O error.  Reports go to stdout
-or --out, as JSON or CSV, with floats at 12 significant digits.  All
-subcommands are deterministic per seed and independent of the worker count
-(override with FOMLAB_THREADS or --workers).
+Exit codes: 0 success, 1 verification failure (a failing dual edge, a
+charging property violation or a broken paper invariant), 2 usage or I/O
+error.  Reports go to stdout or --out, as JSON or CSV, with floats at 12
+significant digits.  All subcommands are deterministic per seed and
+independent of the worker count (override with FOMLAB_THREADS or
+--workers).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import charging as charging_mod
 from . import hardness as hardness_mod
 from .dual import verify_feasibility
 from .engine import run_greedy, run_ranking, sample_ranks
-from .errors import FomlabError
+from .errors import FomlabError, InvariantViolated
 from .instance import (
     from_one_sided,
     load_instance,
@@ -119,7 +120,9 @@ _workers_opt = click.option("--workers", type=int, default=None)
     type=click.Choice(["random", "one-sided", "adversary-tree", "ranking-hard"]),
 )
 @click.option("--n", type=int, default=8, show_default=True)
-@click.option("--p", type=float, default=0.5, show_default=True)
+@click.option(
+    "--p", type=click.FloatRange(0.0, 1.0), default=0.5, show_default=True
+)
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--h", type=int, default=2, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -353,6 +356,9 @@ def opt(instance_path, fmt, out):
 def entrypoint() -> None:
     try:
         main(standalone_mode=True)
+    except InvariantViolated as exc:
+        click.echo(f"error: invariant violated: {exc}", err=True)
+        sys.exit(EXIT_VERIFICATION_FAILED)
     except FomlabError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_USAGE)

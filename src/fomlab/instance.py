@@ -20,6 +20,7 @@ from .errors import (
     EdgeViolatesModel,
     IndexOutOfRange,
     MalformedEvents,
+    ParamsInvalid,
     SelfLoop,
 )
 
@@ -188,7 +189,7 @@ def random_instance(
     probability edge_prob and dropped when they violate the model guarantee.
     """
     if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob {edge_prob} outside [0, 1]")
+        raise ParamsInvalid(f"edge_prob {edge_prob} outside [0, 1]")
     rng = np.random.default_rng(seed)
     slots = rng.permutation(2 * n)
     events: list[Event] = [None] * (2 * n)  # type: ignore[list-item]

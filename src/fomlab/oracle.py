@@ -1,17 +1,16 @@
 """Offline maximum-matching oracles used as competitive-ratio denominators.
 
-Three redundant routes: a hand-written Hopcroft-Karp for bipartite
-instances, networkx's blossom-based matcher for general graphs, and an
-exponential branch-and-bound for tiny edge counts.  The test suite
-cross-validates them against each other.
+Three redundant routes: Hopcroft-Karp for bipartite instances, Edmonds'
+cardinality blossom algorithm for general graphs, and an exponential
+branch-and-bound for tiny edge counts.  All three are hand-written; the test
+suite cross-validates them against each other and against networkx.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .errors import InvariantViolated, NotBipartite, TooLarge
 from .instance import Instance
@@ -26,10 +25,14 @@ class OracleResult:
 
 
 def _check_witness(instance: Instance, witness) -> None:
-    edge_set = set(instance.edges)
+    n, adj = instance.n, instance.adj
     used: set[int] = set()
     for u, v in witness:
-        if (min(u, v), max(u, v)) not in edge_set:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvariantViolated(f"witness edge {(u, v)} not in graph")
+        nbrs = adj[u]
+        i = bisect_left(nbrs, v)
+        if i == len(nbrs) or nbrs[i] != v:
             raise InvariantViolated(f"witness edge {(u, v)} not in graph")
         if u in used or v in used:
             raise InvariantViolated("witness is not a matching")
@@ -37,23 +40,44 @@ def _check_witness(instance: Instance, witness) -> None:
         used.add(v)
 
 
+def _greedy_start(instance: Instance) -> list[int]:
+    """A maximal matching as `match[v]` (partner or -1) to seed the exact
+    searches: vertices in ascending degree, each matched to its free
+    neighbour of lowest degree.  Low-degree vertices have the fewest
+    chances to be matched later, so this leaves few augmenting paths."""
+    adj = instance.adj
+    deg = [len(a) for a in adj]
+    match = [-1] * instance.n
+    for v in sorted(range(instance.n), key=deg.__getitem__):
+        if match[v] != -1:
+            continue
+        best = -1
+        for w in adj[v]:
+            if match[w] == -1 and (best == -1 or deg[w] < deg[best]):
+                best = w
+        if best != -1:
+            match[v] = best
+            match[best] = v
+    return match
+
+
+def _result(instance: Instance, match: list[int]) -> OracleResult:
+    witness = frozenset((u, w) for u, w in enumerate(match) if u < w)
+    _check_witness(instance, witness)
+    return OracleResult(size=len(witness), witness=witness)
+
+
 def max_matching_bipartite(instance: Instance) -> OracleResult:
     """Exact maximum matching via Hopcroft-Karp with layered BFS phases."""
     if instance.bipartition is None:
         raise NotBipartite("instance carries no bipartition witness")
+    adj = instance.adj
     left = [v for v in range(instance.n) if instance.bipartition[v] == 0]
     INF = instance.n + 1
-    match = [-1] * instance.n
-
-    # greedy initialization cuts the number of augmenting phases
-    for u in left:
-        for w in instance.adj[u]:
-            if match[w] == -1:
-                match[u] = w
-                match[w] = u
-                break
-
-    dist = {}
+    match = _greedy_start(instance)
+    # dist[-1], the sentinel slot, is the layer of the free right vertices:
+    # match[w] == -1 indexes it.
+    dist = [INF] * (instance.n + 1)
 
     def bfs() -> bool:
         queue = deque()
@@ -67,54 +91,134 @@ def max_matching_bipartite(instance: Instance) -> OracleResult:
         while queue:
             u = queue.popleft()
             if dist[u] < dist[-1]:
-                for w in instance.adj[u]:
+                for w in adj[u]:
                     nxt = match[w]
                     if dist[nxt] == INF:
                         dist[nxt] = dist[u] + 1
                         queue.append(nxt)
         return dist[-1] != INF
 
-    def dfs(u: int) -> bool:
-        if u == -1:
-            return True
-        for w in instance.adj[u]:
-            nxt = match[w]
-            if dist[nxt] == dist[u] + 1 and dfs(nxt):
-                match[w] = u
+    def dfs(root: int, cursor: list[int]) -> None:
+        # Iterative: an augmenting path can be as long as the graph.
+        # adj[u][cursor[u] - 1] is the edge u last took down the path.
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            nbrs = adj[u]
+            i = cursor[u]
+            while i < len(nbrs):
+                nxt = match[nbrs[i]]
+                i += 1
+                if dist[nxt] == dist[u] + 1:
+                    break
+            else:
+                cursor[u] = i
+                dist[u] = INF
+                stack.pop()
+                continue
+            cursor[u] = i
+            if nxt != -1:
+                stack.append(nxt)
+                continue
+            for u in stack:
+                w = adj[u][cursor[u] - 1]
                 match[u] = w
-                return True
-        dist[u] = INF
-        return False
+                match[w] = u
+            return
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * instance.n + 100))
-    try:
-        while bfs():
-            for u in left:
-                if match[u] == -1:
-                    dfs(u)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    witness = frozenset(
-        (u, match[u]) for u in left if match[u] != -1
-    )
-    witness = frozenset((min(u, v), max(u, v)) for u, v in witness)
-    _check_witness(instance, witness)
-    return OracleResult(size=len(witness), witness=witness)
+    while bfs():
+        cursor = [0] * instance.n
+        for u in left:
+            if match[u] == -1:
+                dfs(u, cursor)
+    return _result(instance, match)
 
 
 def max_matching_general(instance: Instance) -> OracleResult:
-    """Exact maximum matching on general graphs (blossom, via networkx)."""
-    g = nx.Graph()
-    g.add_nodes_from(range(instance.n))
-    g.add_edges_from(instance.edges)
-    matching = nx.max_weight_matching(g, maxcardinality=True)
-    witness = frozenset((min(u, v), max(u, v)) for u, v in matching)
-    _check_witness(instance, witness)
-    return OracleResult(size=len(witness), witness=witness)
+    """Exact maximum matching on general graphs (Edmonds' blossom algorithm).
+
+    One alternating-tree search per free vertex, from a greedy start.  A
+    vertex with no augmenting path has none after later augmentations
+    either, so a single pass over the vertices is exact.
+    """
+    n, adj = instance.n, instance.adj
+    match = _greedy_start(instance)
+    # Per-search state, reset after each search on the vertices it touched:
+    # parent[w] is the tree parent of an odd vertex w, base[v] the base of
+    # the blossom holding v, outer[v] whether v is an even vertex.
+    parent = [-1] * n
+    base = list(range(n))
+    outer = [False] * n
+
+    def lca(a: int, b: int) -> int:
+        path = set()
+        while True:
+            a = base[a]
+            path.add(a)
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if b in path:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v: int, b: int, child: int, bases: set) -> None:
+        while base[v] != b:
+            bases.add(base[v])
+            bases.add(base[match[v]])
+            parent[v] = child
+            child = match[v]
+            v = parent[child]
+
+    def search(root: int, tree: list[int]) -> None:
+        # Grow an alternating tree from the free vertex `root`, listing every
+        # vertex it touches in `tree`; augment on reaching another free one.
+        outer[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if base[v] == base[w] or match[v] == w:
+                    continue
+                if w == root or (match[w] != -1 and parent[match[w]] != -1):
+                    # w is even too: the edge closes a blossom; contract it
+                    b = lca(v, w)
+                    bases: set[int] = set()
+                    mark_path(v, b, w, bases)
+                    mark_path(w, b, v, bases)
+                    for x in tree:
+                        if base[x] in bases:
+                            base[x] = b
+                            if not outer[x]:
+                                outer[x] = True
+                                queue.append(x)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    tree.append(w)
+                    mate = match[w]
+                    if mate == -1:
+                        while w != -1:
+                            pv = parent[w]
+                            nxt = match[pv]
+                            match[w] = pv
+                            match[pv] = w
+                            w = nxt
+                        return
+                    tree.append(mate)
+                    outer[mate] = True
+                    queue.append(mate)
+
+    for root in range(n):
+        if match[root] == -1 and adj[root]:
+            tree = [root]
+            search(root, tree)
+            for x in tree:
+                parent[x] = -1
+                base[x] = x
+                outer[x] = False
+    return _result(instance, match)
 
 
 def max_matching_bruteforce(instance: Instance) -> OracleResult:

@@ -48,6 +48,13 @@ def test_generate_bad_params():
     assert "error" in res.stderr.lower()
 
 
+@pytest.mark.parametrize("p", ["1.5", "-0.1"])
+def test_generate_edge_probability_out_of_range_exits_2(p):
+    res = run_cli("generate", "random", "--n", "4", "--p", p)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_run_ranking_and_greedy(instance_file):
     res = run_cli("run", "--instance", str(instance_file), "--seed", "7", "--trace")
     assert res.returncode == 0
@@ -237,6 +244,47 @@ def test_opt_subcommand(instance_file):
     data = json.loads(res.stdout)
     assert data["oracle"] == "hopcroft-karp"
     assert data["size"] >= 0
+
+
+def test_opt_general_instance_is_blossom_and_exact(tmp_path):
+    from fomlab.instance import random_instance, save_instance
+    from fomlab.oracle import max_matching_bruteforce
+
+    inst = random_instance(9, 0.5, False, 3)
+    assert 0 < inst.m <= 24
+    path = tmp_path / "general.json"
+    with open(path, "w") as fp:
+        save_instance(inst, fp)
+    res = run_cli("opt", "--instance", str(path))
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert data["oracle"] == "blossom"
+    assert data["size"] == max_matching_bruteforce(inst).size
+    assert len(data["witness"]) == data["size"]
+    endpoints = [v for edge in data["witness"] for v in edge]
+    assert len(set(endpoints)) == len(endpoints)
+    assert all(tuple(edge) in inst.edges for edge in data["witness"])
+
+
+def test_invariant_violation_exits_1(tmp_path, monkeypatch, capsys):
+    from fomlab import cli
+    from fomlab.errors import InvariantViolated
+    from fomlab.instance import random_instance, save_instance
+
+    path = tmp_path / "general.json"
+    with open(path, "w") as fp:
+        save_instance(random_instance(6, 0.5, False, 0), fp)
+
+    def broken_oracle(instance):
+        raise InvariantViolated("witness is not a matching")
+
+    monkeypatch.setattr(cli, "max_matching_general", broken_oracle)
+    monkeypatch.setattr(sys, "argv", ["fomlab", "opt", "--instance", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == "error: invariant violated: witness is not a matching\n"
 
 
 def test_json_floats_round_trip_at_12_digits():

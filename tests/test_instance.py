@@ -10,6 +10,7 @@ from fomlab.errors import (
     EdgeViolatesModel,
     IndexOutOfRange,
     MalformedEvents,
+    ParamsInvalid,
     SelfLoop,
 )
 from fomlab.instance import (
@@ -95,6 +96,12 @@ def test_from_one_sided_bad_neighbor():
 
 def test_random_instance_empty():
     assert random_instance(0, 0.5, False, 0).n == 0
+
+
+@pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+def test_random_instance_rejects_edge_probability_outside_unit_interval(p):
+    with pytest.raises(ParamsInvalid):
+        random_instance(4, p, False, 0)
 
 
 def test_random_instance_deterministic():

@@ -1,10 +1,21 @@
+import sys
+
 import numpy as np
 import pytest
 
 from conftest import complete, cycle, path, single_edge, triangle
-from fomlab.errors import NotBipartite, TooLarge
+from fomlab.errors import InvariantViolated, NotBipartite, TooLarge
+from fomlab.hardness import (
+    AdversaryTreeParams,
+    LayeredParams,
+    gen_adversary_tree,
+    gen_ranking_hard,
+)
 from fomlab.instance import A, D, build_instance, random_instance
 from fomlab.oracle import (
+    BRUTEFORCE_EDGE_BUDGET,
+    _check_witness,
+    _greedy_start,
     max_matching_bipartite,
     max_matching_bruteforce,
     max_matching_general,
@@ -83,14 +94,27 @@ def test_witnesses_are_matchings(small_instances):
             used.update((u, v))
 
 
-def test_witness_check_survives_optimize_flag():
-    """The witness check is a raise, not an assert, so `python -O` keeps it."""
+def _python_stdout(*args):
+    """Run a fresh interpreter on this checkout's package; return its stdout."""
     import os
     import subprocess
-    import sys
 
     import fomlab
 
+    src = os.path.dirname(os.path.dirname(fomlab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip()
+
+
+def test_witness_check_survives_optimize_flag():
+    """The witness check is a raise, not an assert, so `python -O` keeps it."""
     code = (
         "from fomlab.errors import InvariantViolated\n"
         "from fomlab.instance import A, D, build_instance\n"
@@ -101,13 +125,146 @@ def test_witness_check_survives_optimize_flag():
         "except InvariantViolated:\n"
         "    print('raised')\n"
     )
-    src = os.path.dirname(os.path.dirname(fomlab.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+    assert _python_stdout("-O", "-c", code) == "raised"
+
+
+def _all_present(n, edges, bipartition=None):
+    """Every vertex arrives before any deadline, so any edge set is valid."""
+    events = [A(v) for v in range(n)] + [D(v) for v in range(n)]
+    return build_instance(n, events, edges, bipartition)
+
+
+def _relabelled(n, edges, rng):
+    perm = rng.permutation(n)
+    return _all_present(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+def _blossom_shapes(rng):
+    """General graphs whose maximum matchings need blossom contractions:
+    odd cycles with tails, cliques with pendants, chained triangles and odd
+    cycles joined by paths, each under random vertex labels."""
+    for length in (3, 5, 7, 9, 15):
+        cyc = [(i, (i + 1) % length) for i in range(length)]
+        yield length, cyc
+        tails = [(i, length + 2 * i) for i in range(length)]
+        tails += [(length + 2 * i, length + 2 * i + 1) for i in range(length)]
+        yield 3 * length, cyc + tails
+    for size in (5, 7):
+        clique = [(i, j) for i in range(size) for j in range(i + 1, size)]
+        yield size, clique
+        yield size + 3, clique + [(0, size), (size, size + 1), (size + 1, size + 2)]
+    for count in (1, 2, 5, 12):
+        chain = [(2 * i, 2 * i + 1) for i in range(count)]
+        chain += [(2 * i + 1, 2 * i + 2) for i in range(count)]
+        chain += [(2 * i, 2 * i + 2) for i in range(count)]
+        yield 2 * count + 1, chain
+        yield 2 * count + 2, chain + [(2 * count, 2 * count + 1)]
+    for _ in range(20):
+        # five triangles and pentagons strung together by short paths
+        edges, n = [], 0
+        for _ in range(5):
+            size = int(rng.choice([3, 5]))
+            edges += [(n + i, n + (i + 1) % size) for i in range(size)]
+            if n:
+                edges.append((n - 1, n + int(rng.integers(0, size))))
+            n += size
+            edges.append((n - 1 - int(rng.integers(0, size)), n))
+            n += 1
+        yield n, edges
+
+
+def _networkx_size(inst, nx):
+    g = nx.Graph()
+    g.add_nodes_from(range(inst.n))
+    g.add_edges_from(inst.edges)
+    return len(nx.max_weight_matching(g, maxcardinality=True))
+
+
+def test_blossom_vs_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(20, 201))
+        p = float(rng.uniform(0.5, 6.0)) / n
+        cases.append(random_instance(n, p, False, int(rng.integers(0, 2**31))))
+    for n, edges in _blossom_shapes(rng):
+        for _ in range(3):
+            cases.append(_relabelled(n, edges, rng))
+    for inst in cases:
+        res = max_matching_general(inst)
+        assert res.size == _networkx_size(inst, nx), inst.edges
+
+
+def test_blossom_shapes_vs_bruteforce():
+    rng = np.random.default_rng(12)
+    for n, edges in _blossom_shapes(rng):
+        if len(edges) <= BRUTEFORCE_EDGE_BUDGET:
+            inst = _relabelled(n, edges, rng)
+            assert max_matching_general(inst).size == max_matching_bruteforce(inst).size
+
+
+def test_hopcroft_karp_vs_blossom_up_to_n200():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        n = int(rng.integers(2, 201))
+        p = float(rng.uniform(0.5, 8.0)) / n
+        inst = random_instance(n, min(p, 1.0), True, int(rng.integers(0, 2**31)))
+        assert max_matching_bipartite(inst).size == max_matching_general(inst).size
+
+
+@pytest.mark.parametrize("k,h", [(1, 1), (2, 3), (3, 2), (7, 2)])
+def test_oracles_on_hardness_families(k, h):
+    for seed in range(3):
+        params = AdversaryTreeParams(k=k, h=h, seed=seed)
+        tree = gen_adversary_tree(params)
+        assert max_matching_bipartite(tree).size == params.side_size
+        assert max_matching_general(tree).size == params.side_size
+    layered = gen_ranking_hard(LayeredParams(k=k, h=h))
+    assert max_matching_bipartite(layered).size == k * h
+    assert max_matching_general(layered).size == k * h
+
+
+def _long_augmenting_path(n):
+    """A path p0 .. p_{n-5} with a two-edge tail y'-y-p0 and z'-z-p_{n-5} at
+    its ends, labelled so that the greedy start matches (p1, p2), (p3, p4),
+    ...: it leaves p0 and p_{n-5} free, joined by one augmenting path through
+    all n - 4 path vertices."""
+    length = n - 4
+    label = {pos: pos - 1 for pos in range(1, length - 1)}
+    label[0], label[length - 1] = length - 2, length - 1
+    edges = [(label[pos], label[pos + 1]) for pos in range(length - 1)]
+    y, y_leaf, z, z_leaf = length, length + 1, length + 2, length + 3
+    edges += [(y_leaf, y), (y, label[0]), (z_leaf, z), (z, label[length - 1])]
+    side = {label[pos]: pos % 2 for pos in range(length)}
+    side.update({y: 1, y_leaf: 0, z: length % 2, z_leaf: 1 - length % 2})
+    return _all_present(n, edges, [side[v] for v in range(n)])
+
+
+def test_hopcroft_karp_long_augmenting_path_is_iterative():
+    inst = _long_augmenting_path(20_000)
+    greedy = _greedy_start(inst)
+    assert greedy.count(-1) == 2
+    limit = sys.getrecursionlimit()
+    res = max_matching_bipartite(inst)
+    assert res.size == inst.n // 2
+    assert sys.getrecursionlimit() == limit
+
+
+def test_witness_check_rejects_non_matching():
+    with pytest.raises(InvariantViolated, match="not a matching"):
+        _check_witness(path(4), {(0, 1), (1, 2)})
+    with pytest.raises(InvariantViolated, match="not in graph"):
+        _check_witness(path(4), {(0, 2)})
+    with pytest.raises(InvariantViolated, match="not in graph"):
+        _check_witness(path(4), {(3, 4)})
+    _check_witness(path(4), {(0, 1), (2, 3)})
+
+
+def test_import_does_not_load_networkx():
+    code = (
+        "import sys\n"
+        "import fomlab, fomlab.cli, fomlab.hardness, fomlab.oracle\n"
+        "print('networkx' in sys.modules)\n"
     )
-    res = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
-    )
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "raised"
+    assert _python_stdout("-c", code) == "False"
