@@ -3,7 +3,8 @@
 Three kinds are provided: the exponential bipartite pair (h identically 0),
 the two-segment piecewise-linear general pair, and an optional capped
 exponential variant.  All integrals of g and h are evaluated in closed form
-per piece; grid minimization only ever touches the outer theta/tau sweeps.
+per piece.  Every function here takes a float or an ndarray and evaluates
+its formula once for all points; a float argument gives a float back.
 
 Values "at 1-minus" are requested through the JUST_BELOW side marker, never
 through an epsilon below 1: both piecewise functions jump at 1.
@@ -12,7 +13,7 @@ through an epsilon below 1: both piecewise functions jump at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Optional
 
@@ -54,16 +55,38 @@ class BoundGrid:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ChargingInvalid(f"grid step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and 0.0 < self.step <= 1.0):
+            raise ChargingInvalid(f"grid step must lie in (0, 1], got {self.step}")
 
     def axis(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, round(1.0 / self.step) + 1)
 
 
-def _check_x(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
+def _in_unit(x) -> np.ndarray:
+    xa = np.asarray(x, dtype=float)
+    if not ((xa >= 0.0) & (xa <= 1.0)).all():
         raise OutOfDomain(f"argument {x} outside [0, 1]")
+    return xa
+
+
+def _value(v):
+    """A float for a 0-d result, the array otherwise."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _two_piece(x: np.ndarray, t: float, k1: float, k2: float, b: float = 0.0):
+    """k1*x + b up to the breakpoint t, then slope k2 (continuous at t)."""
+    return np.where(x <= t, k1 * x + b, k2 * (x - t) + k1 * t + b)
+
+
+def _two_piece_integral(x: np.ndarray, t: float, k1: float, k2: float, b: float = 0.0):
+    """Integral of _two_piece over [0, x]."""
+    d = x - t
+    return np.where(
+        x <= t,
+        0.5 * k1 * x**2 + b * x,
+        0.5 * k1 * t**2 + b * t + 0.5 * k2 * d**2 + (k1 * t + b) * d,
+    )
 
 
 @dataclass(frozen=True)
@@ -75,109 +98,70 @@ class ChargingFunction:
         if self.kind is ChargingKind.PIECEWISE_GENERAL and self.constants is None:
             object.__setattr__(self, "constants", B2_CONSTANTS)
 
-    # -- pointwise evaluation ------------------------------------------------
+    # -- evaluation at a float or an array of points ---------------------------
+    # side decides the value at x == 1 only: AT gives the jump value there,
+    # JUST_BELOW the 1-minus limit.
 
-    def g(self, x: float, side: Side = Side.AT) -> float:
-        _check_x(x)
-        if x == 1.0 and side is Side.AT:
-            return 1.0
-        if self.kind is ChargingKind.EXPONENTIAL_BIPARTITE:
-            return math.exp(x - 1.0)
-        if self.kind is ChargingKind.CAPPED_EXPONENTIAL:
-            return min(1.0, math.exp(x - 1.0) + CAP_OFFSET)
-        c = self.constants
-        if x <= c.t:
-            return c.kg1 * x + c.b
-        return c.kg2 * (x - c.t) + c.kg1 * c.t + c.b
+    def g(self, x, side: Side = Side.AT):
+        x = _in_unit(x)
+        if self.kind is ChargingKind.PIECEWISE_GENERAL:
+            c = self.constants
+            v = _two_piece(x, c.t, c.kg1, c.kg2, c.b)
+        else:
+            v = np.exp(x - 1.0)
+            if self.kind is ChargingKind.CAPPED_EXPONENTIAL:
+                v = np.minimum(1.0, v + CAP_OFFSET)
+        return _value(np.where(x == 1.0, 1.0, v) if side is Side.AT else v)
 
-    def h(self, x: float, side: Side = Side.AT) -> float:
-        _check_x(x)
+    def h(self, x, side: Side = Side.AT):
+        x = _in_unit(x)
         if self.kind is not ChargingKind.PIECEWISE_GENERAL:
-            return 0.0
-        if x == 1.0 and side is Side.AT:
-            return 0.0
+            return _value(np.zeros_like(x))
         c = self.constants
-        if x <= c.t:
-            return c.kh1 * x
-        return c.kh2 * (x - c.t) + c.kh1 * c.t
+        v = _two_piece(x, c.t, c.kh1, c.kh2)
+        return _value(np.where(x == 1.0, 0.0, v) if side is Side.AT else v)
 
-    def phi(self, x: float, side: Side = Side.AT) -> float:
+    def phi(self, x, side: Side = Side.AT):
         """Net retained gain 1 - g - h of an active endpoint."""
         return 1.0 - self.g(x, side) - self.h(x, side)
 
     # -- closed-form integrals ----------------------------------------------
 
-    def g_integral(self, theta: float) -> float:
+    def g_integral(self, theta):
         """Exact integral of g over [0, theta] (the jump at 1 has measure 0)."""
-        _check_x(theta)
-        if self.kind is ChargingKind.EXPONENTIAL_BIPARTITE:
-            return math.exp(theta - 1.0) - E_INV
-        if self.kind is ChargingKind.CAPPED_EXPONENTIAL:
-            xcap = 1.0 + math.log1p(-CAP_OFFSET)
-            if theta <= xcap:
-                return math.exp(theta - 1.0) - E_INV + CAP_OFFSET * theta
-            at_cap = math.exp(xcap - 1.0) - E_INV + CAP_OFFSET * xcap
-            return at_cap + (theta - xcap)
-        c = self.constants
-        if theta <= c.t:
-            return 0.5 * c.kg1 * theta**2 + c.b * theta
-        head = 0.5 * c.kg1 * c.t**2 + c.b * c.t
-        d = theta - c.t
-        return head + 0.5 * c.kg2 * d**2 + (c.kg1 * c.t + c.b) * d
-
-    def h_integral(self, theta: float) -> float:
-        _check_x(theta)
-        if self.kind is not ChargingKind.PIECEWISE_GENERAL:
-            return 0.0
-        c = self.constants
-        if theta <= c.t:
-            return 0.5 * c.kh1 * theta**2
-        d = theta - c.t
-        return 0.5 * c.kh1 * c.t**2 + 0.5 * c.kh2 * d**2 + c.kh1 * c.t * d
-
-    # -- vectorized limit-valued grids --------------------------------------
-
-    def g_limit_grid(self, xs: np.ndarray) -> np.ndarray:
-        """g on a grid, with the 1-minus limit substituted at x == 1."""
-        if self.kind is ChargingKind.EXPONENTIAL_BIPARTITE:
-            return np.exp(xs - 1.0)
-        if self.kind is ChargingKind.CAPPED_EXPONENTIAL:
-            return np.minimum(1.0, np.exp(xs - 1.0) + CAP_OFFSET)
-        c = self.constants
-        return np.where(
-            xs <= c.t,
-            c.kg1 * xs + c.b,
-            c.kg2 * (xs - c.t) + c.kg1 * c.t + c.b,
-        )
-
-    def h_limit_grid(self, xs: np.ndarray) -> np.ndarray:
-        if self.kind is not ChargingKind.PIECEWISE_GENERAL:
-            return np.zeros_like(xs)
-        c = self.constants
-        return np.where(xs <= c.t, c.kh1 * xs, c.kh2 * (xs - c.t) + c.kh1 * c.t)
-
-    def g_integral_grid(self, xs: np.ndarray) -> np.ndarray:
+        theta = _in_unit(theta)
         if self.kind is ChargingKind.PIECEWISE_GENERAL:
             c = self.constants
-            head = 0.5 * c.kg1 * c.t**2 + c.b * c.t
-            d = xs - c.t
-            return np.where(
-                xs <= c.t,
-                0.5 * c.kg1 * xs**2 + c.b * xs,
-                head + 0.5 * c.kg2 * d**2 + (c.kg1 * c.t + c.b) * d,
-            )
-        return np.array([self.g_integral(float(x)) for x in xs])
+            return _value(_two_piece_integral(theta, c.t, c.kg1, c.kg2, c.b))
+        v = np.exp(theta - 1.0) - E_INV
+        if self.kind is ChargingKind.CAPPED_EXPONENTIAL:
+            xcap = 1.0 + math.log1p(-CAP_OFFSET)
+            at_cap = math.exp(xcap - 1.0) - E_INV + CAP_OFFSET * xcap
+            v = np.where(theta <= xcap, v + CAP_OFFSET * theta, at_cap + (theta - xcap))
+        return _value(v)
+
+    def h_integral(self, theta):
+        theta = _in_unit(theta)
+        if self.kind is not ChargingKind.PIECEWISE_GENERAL:
+            return _value(np.zeros_like(theta))
+        c = self.constants
+        return _value(_two_piece_integral(theta, c.t, c.kh1, c.kh2))
+
+    # -- limit-valued grids (names kept for callers that look them up) -------
+
+    def g_limit_grid(self, xs: np.ndarray) -> np.ndarray:
+        """g on a grid, with the 1-minus limit at x == 1."""
+        return self.g(xs, Side.JUST_BELOW)
+
+    def h_limit_grid(self, xs: np.ndarray) -> np.ndarray:
+        return self.h(xs, Side.JUST_BELOW)
 
 
 EXPONENTIAL = ChargingFunction(ChargingKind.EXPONENTIAL_BIPARTITE)
 PIECEWISE = ChargingFunction(ChargingKind.PIECEWISE_GENERAL, B2_CONSTANTS)
 CAPPED = ChargingFunction(ChargingKind.CAPPED_EXPONENTIAL)
 
-_BY_NAME = {
-    "exp": EXPONENTIAL,
-    "piecewise": PIECEWISE,
-    "capped": CAPPED,
-}
+_BY_NAME = {ch.kind.value: ch for ch in (EXPONENTIAL, PIECEWISE, CAPPED)}
 
 
 def by_name(name: str) -> ChargingFunction:
@@ -185,16 +169,6 @@ def by_name(name: str) -> ChargingFunction:
         return _BY_NAME[name]
     except KeyError:
         raise ChargingInvalid(f"unknown charging kind {name!r}") from None
-
-
-def eval(
-    charging: ChargingFunction, which: str, x: float, side: Side = Side.AT
-) -> float:
-    """Evaluate g, h or phi at x, honoring the side marker at the jump."""
-    fn = {"g": charging.g, "h": charging.h, "phi": charging.phi}.get(which)
-    if fn is None:
-        raise OutOfDomain(f"unknown function {which!r}")
-    return fn(x, side)
 
 
 @dataclass(frozen=True)
@@ -208,27 +182,10 @@ class PropertyReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            (
-                self.g_nondecreasing,
-                self.g_one_is_one,
-                self.h_nondecreasing,
-                self.h_one_is_zero,
-                self.h_over_y_nonincreasing,
-                self.phi_nonnegative,
-            )
-        )
+        return all(getattr(self, f.name) for f in fields(self))
 
     def as_dict(self) -> dict:
-        return {
-            "g_nondecreasing": self.g_nondecreasing,
-            "g_one_is_one": self.g_one_is_one,
-            "h_nondecreasing": self.h_nondecreasing,
-            "h_one_is_zero": self.h_one_is_zero,
-            "h_over_y_nonincreasing": self.h_over_y_nonincreasing,
-            "phi_nonnegative": self.phi_nonnegative,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def check_properties(
@@ -274,7 +231,7 @@ def _f_bipartite_matrix(
     y: np.ndarray, charging: ChargingFunction, grid: BoundGrid
 ) -> np.ndarray:
     thetas = grid.axis()
-    ig = charging.g_integral_grid(thetas)
+    ig = charging.g_integral(thetas)
     g_theta = charging.g_limit_grid(thetas)
     gy = charging.g_limit_grid(y)
     vals = ig[None, :] + np.minimum(1.0 - g_theta[None, :], gy[:, None])
@@ -287,7 +244,6 @@ def f_bipartite(
     y_u: float, charging: ChargingFunction, grid: BoundGrid = BoundGrid()
 ) -> float:
     """Per-edge expected-gain lower bound for the bipartite analysis."""
-    _check_x(y_u)
     return float(_f_bipartite_matrix(np.array([y_u]), charging, grid)[0])
 
 
@@ -305,42 +261,41 @@ def ratio_bipartite(
 
 def psi1(
     y_u: float,
-    theta: float,
-    tau: float,
+    theta,
+    tau,
     charging: ChargingFunction,
     *,
     theta_side: Side = Side.AT,
     tau_side: Side = Side.AT,
-) -> float:
+):
     """Two-threshold bound term (compensation active between theta and tau)."""
-    _check_x(y_u)
-    if not (0.0 <= theta <= tau <= 1.0):
+    theta, tau = np.asarray(theta, dtype=float), np.asarray(tau, dtype=float)
+    if not np.all((0.0 <= theta) & (theta <= tau) & (tau <= 1.0)):
         raise OutOfDomain(f"need 0 <= theta <= tau <= 1, got {theta}, {tau}")
-    if tau == 1.0 and tau_side is Side.AT:
+    if tau_side is Side.AT and np.any(tau == 1.0):
         raise OutOfDomain("tau must stay below 1; pass side JUST_BELOW for 1-minus")
     gy = charging.g(y_u)
-    return (
+    return _value(
         charging.g_integral(theta)
         + (tau - theta) * charging.h(theta, theta_side)
-        + (1.0 - theta) * min(gy, charging.phi(theta, theta_side))
-        + theta * min(gy, charging.phi(tau, tau_side))
+        + (1.0 - theta) * np.minimum(gy, charging.phi(theta, theta_side))
+        + theta * np.minimum(gy, charging.phi(tau, tau_side))
     )
 
 
 def psi2(
     y_u: float,
-    theta: float,
+    theta,
     charging: ChargingFunction,
     *,
     theta_side: Side = Side.AT,
-) -> float:
+):
     """Single-threshold bound term (no compensation window above theta)."""
-    _check_x(y_u)
     gy = charging.g(y_u)
-    return (
+    return _value(
         charging.g_integral(theta)
         + (1.0 - theta) * charging.h(theta, theta_side)
-        + (1.0 - theta) * min(gy, 1.0 - charging.g(theta, theta_side))
+        + (1.0 - theta) * np.minimum(gy, 1.0 - charging.g(theta, theta_side))
     )
 
 
@@ -364,7 +319,7 @@ def _f_general_matrix(
     g_lim = charging.g_limit_grid(xs)
     h_lim = charging.h_limit_grid(xs)
     phi_lim = 1.0 - g_lim - h_lim
-    ig = charging.g_integral_grid(xs)
+    ig = charging.g_integral(xs)
     phi_one = float(phi_lim[-1])
 
     qsuf = np.empty(n)
@@ -409,7 +364,7 @@ def f_general(
     simplified: bool = False,
 ) -> float:
     """Per-edge expected-gain lower bound for the general-graph analysis."""
-    _check_x(y_u)
+    _in_unit(y_u)
     if not check_properties(charging).passed:
         raise ChargingInvalid("charging function fails its required properties")
     return float(
@@ -431,31 +386,28 @@ def ratio_general(
     return float(np.trapezoid(fy, ys))
 
 
-def _refine_scalar(fn, lo: float, hi: float, coarse_step: float) -> tuple[float, float]:
-    """Coarse grid sweep on [lo, hi] followed by a local 1e-5 sweep."""
-    xs = np.clip(np.arange(lo, hi + coarse_step / 2, coarse_step), lo, hi)
-    vals = np.array([fn(float(x)) for x in xs])
+def _grid_argmin(fn, coarse_step: float) -> tuple[float, float]:
+    """(min, argmin) of fn over [0, 1]: fn evaluates a whole array of points,
+    once on the coarse grid and once on a 1e-5 grid around its argmin."""
+    xs = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
+    vals = fn(xs)
     i = int(vals.argmin())
-    best_x, best_v = float(xs[i]), float(vals[i])
-    a = max(lo, best_x - coarse_step)
-    b = min(hi, best_x + coarse_step)
-    fine = np.clip(np.arange(a, b + 5e-6, 1e-5), lo, hi)
-    for x in fine:
-        v = fn(float(x))
-        if v < best_v:
-            best_x, best_v = float(x), v
-    return best_v, best_x
+    a = max(0.0, xs[i] - coarse_step)
+    b = min(1.0, xs[i] + coarse_step)
+    fine = np.clip(np.arange(a, b + 5e-6, 1e-5), 0.0, 1.0)
+    fine_vals = fn(fine)
+    j = int(fine_vals.argmin())
+    if fine_vals[j] < vals[i]:
+        return float(fine_vals[j]), float(fine[j])
+    return float(vals[i]), float(xs[i])
 
 
 def minimize_psi2(
     y_u: float, charging: ChargingFunction, coarse_step: float = 1e-3
 ) -> tuple[float, float]:
     """Minimum of psi2 over theta (1 treated as the 1-minus limit)."""
-    return _refine_scalar(
-        lambda th: psi2(y_u, th, charging, theta_side=Side.JUST_BELOW),
-        0.0,
-        1.0,
-        coarse_step,
+    return _grid_argmin(
+        lambda th: psi2(y_u, th, charging, theta_side=Side.JUST_BELOW), coarse_step
     )
 
 
@@ -464,81 +416,15 @@ def minimize_psi1(
 ) -> tuple[float, float]:
     """Minimum of psi1 over theta with tau at its optimum; returns (value, theta).
 
-    For charging pairs satisfying check_properties the inner tau minimum is
-    explored on the same grid (tau = 1 meaning the 1-minus limit).
+    Each theta takes the minimum over the coarse tau grid cut to tau >= theta
+    (grid points below theta stand in for tau = theta; tau = 1 means the
+    1-minus limit).
     """
+    taus = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
 
-    def over_tau(th: float) -> float:
-        def fn(tau: float) -> float:
-            return psi1(
-                y_u,
-                th,
-                tau,
-                charging,
-                theta_side=Side.JUST_BELOW,
-                tau_side=Side.JUST_BELOW,
-            )
+    def over_tau(thetas: np.ndarray) -> np.ndarray:
+        th, side = thetas[:, None], Side.JUST_BELOW
+        tau = np.maximum(taus, th)
+        return psi1(y_u, th, tau, charging, theta_side=side, tau_side=side).min(axis=1)
 
-        val, _ = _refine_scalar(fn, th, 1.0, coarse_step)
-        return val
-
-    xs = np.arange(0.0, 1.0 + coarse_step / 2, coarse_step)
-    # coarse theta sweep with cheap tau resolution, then refine theta locally
-    vals = np.array(
-        [
-            min(
-                psi1(
-                    y_u,
-                    float(th),
-                    float(tau),
-                    charging,
-                    theta_side=Side.JUST_BELOW,
-                    tau_side=Side.JUST_BELOW,
-                )
-                for tau in (th, (th + 1.0) / 2.0, 1.0)
-            )
-            for th in xs
-        ]
-    )
-    i = int(vals.argmin())
-    a = max(0.0, float(xs[i]) - coarse_step)
-    b = min(1.0, float(xs[i]) + coarse_step)
-    best_v, best_th = None, None
-    for th in np.arange(a, b + 5e-6, 1e-5):
-        v = over_tau(float(th))
-        if best_v is None or v < best_v:
-            best_v, best_th = v, float(th)
-    return best_v, best_th
-
-
-def charging_to_json(charging: ChargingFunction) -> dict:
-    out: dict = {"kind": charging.kind.value}
-    if charging.kind is ChargingKind.PIECEWISE_GENERAL:
-        c = charging.constants
-        out["constants"] = {
-            "t": c.t,
-            "kg1": c.kg1,
-            "kg2": c.kg2,
-            "b": c.b,
-            "kh1": c.kh1,
-            "kh2": c.kh2,
-        }
-    return out
-
-
-def charging_from_json(data: dict) -> ChargingFunction:
-    kind = ChargingKind(data["kind"])
-    if kind is ChargingKind.PIECEWISE_GENERAL and "constants" in data:
-        c = data["constants"]
-        return ChargingFunction(
-            kind,
-            PiecewiseConstants(
-                t=c["t"],
-                kg1=c["kg1"],
-                kg2=c["kg2"],
-                b=c["b"],
-                kh1=c["kh1"],
-                kh2=c["kh2"],
-            ),
-        )
-    return ChargingFunction(kind)
+    return _grid_argmin(over_tau, coarse_step)

@@ -15,6 +15,7 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from . import charging as charging_mod
 from . import hardness as hardness_mod
@@ -88,7 +89,7 @@ def _load(path):
             return load_instance(fp)
     except OSError as exc:
         raise _fail_usage(f"cannot read instance {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise _fail_usage(f"malformed instance {path}: {exc}") from exc
 
 
@@ -112,6 +113,9 @@ _format_opt = click.option(
 )
 _out_opt = click.option("--out", type=click.Path(dir_okay=False), default=None)
 _workers_opt = click.option("--workers", type=int, default=None)
+_seed_opt = click.option(
+    "--seed", type=click.IntRange(min=0), default=0, show_default=True
+)
 
 
 @main.command()
@@ -125,7 +129,7 @@ _workers_opt = click.option("--workers", type=int, default=None)
 )
 @click.option("--k", type=int, default=2, show_default=True)
 @click.option("--h", type=int, default=2, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_opt
 @click.option("--bipartite/--general", default=False, show_default=True)
 @_out_opt
 def generate(family, n, p, k, h, seed, bipartite, out):
@@ -133,8 +137,6 @@ def generate(family, n, p, k, h, seed, bipartite, out):
     if family == "random":
         inst = random_instance(n, p, bipartite, seed)
     elif family == "one-sided":
-        import numpy as np
-
         rng = np.random.default_rng(seed)
         adjacency = [
             [off for off in range(n) if rng.random() < p] for _ in range(n)
@@ -161,7 +163,7 @@ def generate(family, n, p, k, h, seed, bipartite, out):
     default="ranking",
     show_default=True,
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_opt
 @click.option("--trace", is_flag=True, default=False)
 @_format_opt
 @_out_opt
@@ -203,7 +205,7 @@ def run(instance_path, alg, seed, trace, fmt, out):
 @click.option(
     "--trials", type=click.IntRange(min=1), default=100, show_default=True
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_opt
 @_workers_opt
 @_format_opt
 @_out_opt
@@ -221,8 +223,11 @@ def ratio(instance_path, family, k, h, alg, trials, seed, workers, fmt, out):
         desc = {"family": family, "k": k, "h": h}
     else:
         def source(trial: int):
+            ss = np.random.SeedSequence([seed, trial])
             return hardness_mod.gen_adversary_tree(
-                hardness_mod.AdversaryTreeParams(k=k, h=h, seed=seed + trial)
+                hardness_mod.AdversaryTreeParams(
+                    k=k, h=h, seed=int(ss.generate_state(1, np.uint64)[0])
+                )
             )
 
         desc = {"family": family, "k": k, "h": h}
@@ -255,7 +260,7 @@ def ratio(instance_path, family, k, h, alg, trials, seed, workers, fmt, out):
 @click.option(
     "--trials", type=click.IntRange(min=1), default=10000, show_default=True
 )
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_opt
 @_workers_opt
 @_format_opt
 @_out_opt
@@ -287,8 +292,6 @@ def verify_duals(
 @_out_opt
 def check_charging(kind, grid, fmt, out):
     """Check charging-function properties and compute the ratio bound."""
-    if grid <= 0:
-        raise _fail_usage(f"--grid must be positive, got {grid}")
     ch = charging_mod.by_name(kind)
     bgrid = charging_mod.BoundGrid(step=grid)
     props = charging_mod.check_properties(ch, bgrid)

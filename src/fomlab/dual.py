@@ -326,6 +326,8 @@ def verify_feasibility(
 ) -> FeasibilityReport:
     """Check both dual-fitting conditions: exact per-trial mass balance and
     the per-edge expected cover against the target ratio (3-sigma band)."""
+    if not math.isfinite(target):
+        raise ParamsInvalid(f"target must be a finite number, got {target}")
     estimates, cond1_bad = _edge_statistics(
         instance, charging, trials, seed, workers
     )
@@ -361,12 +363,7 @@ def _order_statistic_expectation(
     total = 0.0
     for a, b in zip(breakpoints, breakpoints[1:]):
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        vals = np.array(
-            [
-                fn(float(x)) * x ** (r - 1) * (1.0 - x) ** (n - r)
-                for x in xs
-            ]
-        )
+        vals = fn(xs) * xs ** (r - 1) * (1.0 - xs) ** (n - r)
         total += 0.5 * (b - a) * float(np.dot(weights, vals))
     return coef * total
 

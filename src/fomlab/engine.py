@@ -1,6 +1,7 @@
 """Online algorithms over an instance's event stream.
 
-Both Ranking and Greedy are lazy: all decisions happen at deadline events.
+Both Ranking and Greedy are lazy: all decisions happen at deadline events;
+Greedy is Ranking with arrival positions as ranks.
 The deadline vertex of each matched pair is labeled active, its partner
 passive.  `run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
@@ -82,57 +83,10 @@ class MatchingOutcome:
         return self.partner[v] >= 0
 
 
-def _finish(
-    instance: Instance,
-    partner: list[int],
-    role: list[Optional[Role]],
-    removed: Optional[int],
-    trace: Optional[list[str]],
-) -> MatchingOutcome:
-    pairs = frozenset(
-        (v, p) for v, p in enumerate(partner) if 0 <= v < p
-    )
-    unmatched = frozenset(
-        v for v in range(instance.n) if partner[v] < 0 and v != removed
-    )
-    return MatchingOutcome(
-        pairs=pairs,
-        partner=tuple(partner),
-        role=tuple(role),
-        unmatched=unmatched,
-        trace=tuple(trace) if trace is not None else None,
-    )
-
-
-def _execute(
-    instance: Instance,
-    pick,
-    removed: Optional[int],
-    trace_fmt=None,
-) -> MatchingOutcome:
-    partner = [-1] * instance.n
-    role: list[Optional[Role]] = [None] * instance.n
-    trace: Optional[list[str]] = [] if trace_fmt is not None else None
-    for ev in instance.events:
-        v = ev.vertex
-        if ev.kind is not EventKind.DEADLINE or v == removed:
-            continue
-        if partner[v] >= 0:
-            if trace is not None:
-                trace.append(trace_fmt(v, partner[v], True))
-            continue
-        candidates = [
-            u for u in instance.adj[v] if partner[u] < 0 and u != removed
-        ]
-        u = pick(v, candidates) if candidates else None
-        if u is not None:
-            partner[v] = u
-            partner[u] = v
-            role[v] = Role.ACTIVE
-            role[u] = Role.PASSIVE
-        if trace is not None:
-            trace.append(trace_fmt(v, u, False))
-    return _finish(instance, partner, role, removed, trace)
+def _trace_line(v: int, u: Optional[int], decision: str, ranks: RankAssignment) -> str:
+    if u is None:
+        return f"deadline v={v} decision=unmatched partner=- rank=-"
+    return f"deadline v={v} decision={decision} partner={u} rank={ranks.ranks[u]:.12g}"
 
 
 def run_ranking(
@@ -147,30 +101,44 @@ def run_ranking(
         raise RankMissing(
             f"rank assignment covers {len(ranks.ranks)} of {instance.n} vertices"
         )
-    trace_fmt = None
-    if with_trace:
-        def trace_fmt(v, u, already_matched):
-            if u is None:
-                return f"deadline v={v} decision=unmatched partner=- rank=-"
-            decision = "already-matched" if already_matched else "match"
-            return (
-                f"deadline v={v} decision={decision} partner={u} "
-                f"rank={ranks.ranks[u]:.12g}"
-            )
-
-    return _execute(
-        instance, lambda v, cs: min(cs, key=ranks.key), removed, trace_fmt
+    partner = [-1] * instance.n
+    role: list[Optional[Role]] = [None] * instance.n
+    trace: Optional[list[str]] = [] if with_trace else None
+    for ev in instance.events:
+        v = ev.vertex
+        if ev.kind is not EventKind.DEADLINE or v == removed:
+            continue
+        if partner[v] >= 0:
+            if trace is not None:
+                trace.append(_trace_line(v, partner[v], "already-matched", ranks))
+            continue
+        candidates = [
+            u for u in instance.adj[v] if partner[u] < 0 and u != removed
+        ]
+        u = min(candidates, key=ranks.key) if candidates else None
+        if u is not None:
+            partner[v] = u
+            partner[u] = v
+            role[v] = Role.ACTIVE
+            role[u] = Role.PASSIVE
+        if trace is not None:
+            trace.append(_trace_line(v, u, "match", ranks))
+    return MatchingOutcome(
+        pairs=frozenset((v, p) for v, p in enumerate(partner) if 0 <= v < p),
+        partner=tuple(partner),
+        role=tuple(role),
+        unmatched=frozenset(
+            v for v in range(instance.n) if partner[v] < 0 and v != removed
+        ),
+        trace=tuple(trace) if trace is not None else None,
     )
 
 
 def run_greedy(instance: Instance) -> MatchingOutcome:
     """Greedy baseline: a deadline vertex takes its earliest-arrived unmatched
-    neighbor (ties by smallest id, though arrival positions are unique)."""
-    return _execute(
-        instance,
-        lambda v, cs: min(cs, key=lambda u: (instance.arrival_pos[u], u)),
-        None,
-    )
+    neighbor.  That is Ranking with each vertex ranked by its arrival position
+    (positions are unique, so no tie reaches the vertex-id rule)."""
+    return run_ranking(instance, ranks_from_values(instance.arrival_pos))
 
 
 def run_without(

@@ -13,10 +13,7 @@ from fomlab.charging import (
     ChargingKind,
     PiecewiseConstants,
     by_name,
-    charging_from_json,
-    charging_to_json,
     check_properties,
-    eval as charging_eval,
     f_bipartite,
     f_general,
     minimize_psi1,
@@ -31,7 +28,7 @@ from fomlab.errors import ChargingInvalid, OutOfDomain
 
 
 def test_exponential_at_zero():
-    assert charging_eval(EXPONENTIAL, "g", 0.0) == pytest.approx(1 / math.e)
+    assert EXPONENTIAL.g(0.0) == pytest.approx(1 / math.e)
 
 
 def test_piecewise_limit_values():
@@ -56,8 +53,6 @@ def test_integrals_closed_form():
 def test_out_of_domain():
     with pytest.raises(OutOfDomain):
         PIECEWISE.g(1.5)
-    with pytest.raises(OutOfDomain):
-        charging_eval(PIECEWISE, "nope", 0.5)
 
 
 def test_by_name():
@@ -96,8 +91,10 @@ def test_check_properties_kh1_slightly_larger_still_passes():
 
 
 def test_grid_validation():
-    with pytest.raises(ChargingInvalid):
-        BoundGrid(step=0.0)
+    for step in (0.0, -1e-3, 2.0, math.nan, math.inf):
+        with pytest.raises(ChargingInvalid):
+            BoundGrid(step=step)
+    assert len(BoundGrid(step=1.0).axis()) == 2
 
 
 def test_f_bipartite_endpoints():
@@ -219,6 +216,116 @@ def test_quadrature_convergence():
     assert abs(c - d) < 1e-4
 
 
-def test_json_round_trip():
+def _pointwise(fn, xs, *args):
+    return np.array([fn(float(x), *args) for x in xs])
+
+
+@pytest.mark.parametrize("ch", [EXPONENTIAL, PIECEWISE, CAPPED])
+def test_array_evaluation_matches_pointwise(ch):
+    # the breakpoint, the cap crossing and both sides of the jump at 1
+    xs = np.concatenate([np.linspace(0.0, 1.0, 401), [B2_CONSTANTS.t, 0.98712]])
+    for side in Side:
+        for fn in (ch.g, ch.h, ch.phi):
+            vals = fn(xs, side)
+            assert isinstance(vals, np.ndarray)
+            assert np.array_equal(vals, _pointwise(fn, xs, side))
+            assert isinstance(fn(0.5, side), float)
+    for fn in (ch.g_integral, ch.h_integral):
+        assert np.array_equal(fn(xs), _pointwise(fn, xs))
+        assert isinstance(fn(0.5), float)
+    assert np.array_equal(ch.g_limit_grid(xs), ch.g(xs, Side.JUST_BELOW))
+    assert np.array_equal(ch.h_limit_grid(xs), ch.h(xs, Side.JUST_BELOW))
+
+
+def test_side_only_changes_the_value_at_one():
+    xs = np.linspace(0.0, 1.0, 101)
     for ch in (EXPONENTIAL, PIECEWISE, CAPPED):
-        assert charging_from_json(charging_to_json(ch)) == ch
+        at, below = ch.g(xs, Side.AT), ch.g(xs, Side.JUST_BELOW)
+        assert np.array_equal(at[:-1], below[:-1])
+        assert at[-1] == 1.0
+        assert ch.h(xs, Side.AT)[-1] == 0.0
+    assert PIECEWISE.h(xs, Side.JUST_BELOW)[-1] == pytest.approx(0.197)
+
+
+def test_array_out_of_domain():
+    for bad in ([0.2, 1.0 + 1e-12], [-1e-12, 0.5], [0.5, math.nan]):
+        with pytest.raises(OutOfDomain):
+            PIECEWISE.g(np.array(bad))
+        with pytest.raises(OutOfDomain):
+            PIECEWISE.g_integral(np.array(bad))
+    with pytest.raises(OutOfDomain):
+        psi1(0.5, np.array([0.2, 0.6]), np.array([0.5, 0.5]), PIECEWISE)
+    with pytest.raises(OutOfDomain):
+        psi1(0.5, np.array([0.2]), np.array([1.0]), PIECEWISE)
+
+
+def test_psi_broadcast_matches_pointwise():
+    thetas = np.linspace(0.0, 1.0, 41)
+    taus = np.linspace(0.0, 1.0, 37)
+    below = Side.JUST_BELOW
+    for ch in (EXPONENTIAL, PIECEWISE, CAPPED):
+        for y_u in (0.0, 0.35, 1.0):
+            th, tau = thetas[:, None], np.maximum(taus[None, :], thetas[:, None])
+            grid = psi1(y_u, th, tau, ch, theta_side=below, tau_side=below)
+            assert grid.shape == (41, 37)
+            for i, j in [(0, 0), (5, 30), (20, 36), (40, 36), (13, 2)]:
+                one = psi1(y_u, float(th[i, 0]), float(tau[i, j]), ch,
+                           theta_side=below, tau_side=below)
+                assert isinstance(one, float)
+                assert grid[i, j] == one
+            row = psi2(y_u, thetas, ch, theta_side=below)
+            assert np.array_equal(
+                row,
+                [psi2(y_u, float(t), ch, theta_side=below) for t in thetas],
+            )
+
+
+# (value, theta) found by the earlier point-by-point sweeps (a coarse theta
+# sweep with tau in {theta, (theta+1)/2, 1-}, then a 1e-5 theta sweep, each
+# theta with its own coarse-plus-1e-5 tau sweep).
+SWEEP_MINIMA = {
+    0.0: ((0.46, 0.0), (0.46, 0.0)),
+    0.3: ((0.523, 0.0), (0.523, 0.0)),
+    0.5: ((0.5349206349260001, 0.12698000000000098),
+          (0.5359090909094999, 0.27273000000000075)),
+    0.8: ((0.5349206349260001, 0.12698000000000098),
+          (0.5359090909094999, 0.27273000000000075)),
+    1.0: ((0.5349206349260001, 0.12698000000000098),
+          (0.5359090909094999, 0.27273000000000075)),
+}
+
+
+@pytest.mark.parametrize("y_u", sorted(SWEEP_MINIMA))
+def test_minimizers_reproduce_pointwise_sweeps(y_u):
+    want1, want2 = SWEEP_MINIMA[y_u]
+    assert minimize_psi1(y_u, PIECEWISE) == pytest.approx(want1, abs=1e-12)
+    assert minimize_psi2(y_u, PIECEWISE) == pytest.approx(want2, abs=1e-12)
+
+
+def test_minimize_psi1_is_a_lower_envelope():
+    # no sampled (theta, tau) pair beats the minimizer by more than the
+    # quadratic error of a 1e-5 theta grid
+    rng = np.random.default_rng(3)
+    below = Side.JUST_BELOW
+    for ch in (EXPONENTIAL, PIECEWISE, CAPPED):
+        for y_u in (0.1, 0.6, 1.0):
+            best, theta = minimize_psi1(y_u, ch)
+            th = rng.random(4000)
+            tau = th + (1.0 - th) * rng.random(4000)
+            vals = psi1(y_u, th, tau, ch, theta_side=below, tau_side=below)
+            assert vals.min() >= best - 1e-9
+            assert psi1(y_u, theta, 1.0, ch, theta_side=below, tau_side=below) >= best
+
+
+def test_property_report_dict_order():
+    report = check_properties(PIECEWISE).as_dict()
+    assert list(report) == [
+        "g_nondecreasing",
+        "g_one_is_one",
+        "h_nondecreasing",
+        "h_one_is_zero",
+        "h_over_y_nonincreasing",
+        "phi_nonnegative",
+        "passed",
+    ]
+    assert all(type(v) is bool for v in report.values())

@@ -1,8 +1,13 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "fomlab.cli"]
 
@@ -215,7 +220,78 @@ def test_check_charging_exponential():
 
 
 def test_check_charging_bad_grid():
-    assert run_cli("check-charging", "--grid", "0").returncode == 2
+    for grid in ("0", "nan", "inf", "2"):
+        res = run_cli("check-charging", "--grid", grid)
+        assert res.returncode == 2, (grid, res.stdout)
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
+@pytest.mark.parametrize("target", ["nan", "-inf", "inf"])
+def test_verify_duals_nonfinite_target_exits_2(instance_file, target):
+    res = run_cli(
+        "verify-duals", "--instance", str(instance_file), "--target", target,
+        "--trials", "100",
+    )
+    assert res.returncode == 2, res.stdout
+    assert "Traceback" not in res.stderr
+    assert "target" in res.stderr
+
+
+def test_negative_seed_exits_2(instance_file):
+    for args in (
+        ["generate", "random"],
+        ["run", "--instance", str(instance_file)],
+        ["ratio", "--family", "adversary-tree", "--trials", "2"],
+        ["verify-duals", "--instance", str(instance_file), "--target", "0.5"],
+    ):
+        res = run_cli(*args, "--seed", "-1")
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def _in_process(argv):
+    """Run the CLI entry point in this process: (exit code, stdout, stderr)."""
+    from fomlab import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", ["fomlab", *argv]):
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                cli.entrypoint()
+                code = 0
+            except SystemExit as exc:
+                code = 0 if exc.code is None else exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_adversary_tree_seeds_build_different_trees():
+    from fomlab import hardness
+
+    built = []
+    original = hardness.gen_adversary_tree
+
+    def recording(params):
+        built.append(params.seed)
+        return original(params)
+
+    trees = {}
+    with mock.patch.object(hardness, "gen_adversary_tree", recording):
+        for seed in ("0", "1"):
+            built.clear()
+            code, out, err = _in_process(
+                ["ratio", "--family", "adversary-tree", "--k", "2", "--h", "2",
+                 "--trials", "5", "--seed", seed, "--workers", "1"]
+            )
+            assert code == 0, err
+            trees[seed] = list(built)
+    assert len(set(trees["0"])) == 5
+    assert not set(trees["0"]) & set(trees["1"])
+    first = [
+        original(hardness.AdversaryTreeParams(k=2, h=2, seed=s))
+        for s in (trees["0"][0], trees["1"][0])
+    ]
+    assert (first[0].events, first[0].edges) != (first[1].events, first[1].edges)
 
 
 def test_hardness_omega():
@@ -324,3 +400,133 @@ def test_verify_duals_byte_identical_across_workers(instance_file):
         assert res.returncode == 0
         outs.add(res.stdout)
     assert len(outs) == 1
+
+
+# -- exit-code contract under garbled input ------------------------------------
+
+# Out-of-range and malformed numbers.  Values that only make one run large
+# (a grid step near 0, k or h above 3, many trials) are left out: they cost
+# memory or time, and the contract is about exit codes.
+_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1", "2", "3", "0.5", "0.001",
+            "-0.1", "1.5", "2.5", "1e300", "x", ""]
+_CHEAP = {  # in-range values that keep one run short
+    "--p": ["0", "0.5", "1"], "--k": ["1", "2", "3"], "--h": ["1", "2", "3"],
+    "--seed": ["0", "3"], "--trials": ["1", "2", "5"],
+    "--target": ["0.3", "0.5", "0.9"], "--grid": ["0.5", "0.25", "0.01"],
+}
+
+
+@st.composite
+def _command(draw, prefix, flags, choices=()):
+    """`prefix`, then each numeric flag absent or at a cheap value, except
+    one (or none) that takes a value from _NUMBERS; `choices` are lists of
+    alternative argument lists, one of which is appended each."""
+    argv = list(prefix)
+    for options in choices:
+        argv += draw(st.sampled_from(options))
+    hostile = draw(st.sampled_from([None, *flags]))
+    for flag in flags:
+        values = _NUMBERS if flag == hostile else [None, *_CHEAP[flag]]
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_KEYS = st.sampled_from(["n", "events", "edges", "bipartition"])
+_MUTATION = st.one_of(
+    st.tuples(st.just("set"), _KEYS, _JSON),
+    st.tuples(st.just("drop"), _KEYS),
+    st.tuples(st.just("event"), st.integers(0, 7), st.sampled_from(["kind", "v"]),
+              _JSON),
+    st.tuples(st.just("edge"), st.integers(0, 5), _JSON),
+)
+
+
+def _garble(base, mutations, cut):
+    data = json.loads(json.dumps(base))
+    for m in mutations:
+        events, edges = data.get("events"), data.get("edges")
+        if m[0] == "set":
+            data[m[1]] = m[2]
+        elif m[0] == "drop":
+            data.pop(m[1], None)
+        elif m[0] == "event" and isinstance(events, list) and events:
+            ev = events[m[1] % len(events)]
+            if isinstance(ev, dict):
+                ev[m[2]] = m[3]
+        elif m[0] == "edge" and isinstance(edges, list) and edges:
+            edges[m[1] % len(edges)] = m[2]
+    text = json.dumps(data)
+    return text if cut is None else text[:cut]
+
+
+_INSTANCE = "@instance"
+_ALG = [[], ["--alg", "ranking"], ["--alg", "greedy"]]
+_COMMANDS = st.one_of(
+    _command(["generate"], ["--p", "--k", "--h", "--seed"],
+             [[["random"], ["one-sided"], ["adversary-tree"], ["ranking-hard"]]]),
+    _command(["run", "--instance", _INSTANCE], ["--seed"],
+             [_ALG, [[], ["--trace"]]]),
+    _command(["ratio", "--workers", "1"], ["--k", "--h", "--trials", "--seed"],
+             [[["--instance", _INSTANCE], ["--family", "adversary-tree"],
+               ["--family", "ranking-hard"], []], _ALG]),
+    _command(["verify-duals", "--instance", _INSTANCE, "--workers", "1"],
+             ["--target", "--trials", "--seed"],
+             [[[], ["--charging", "exp"], ["--charging", "piecewise"],
+               ["--charging", "capped"]]]),
+    _command(["check-charging"], ["--grid"],
+             [[[], ["--kind", "exp"], ["--kind", "piecewise"], ["--kind", "capped"]]]),
+    _command(["hardness"], ["--k", "--h"], [[["adversary"], ["layered"], ["omega"]]]),
+    st.just(["opt", "--instance", _INSTANCE]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _case(argv, mutations=()):
+    return example(argv=argv, bipartite=False, mutations=list(mutations), cut=None,
+                   garbled=bool(mutations))
+
+
+@settings(max_examples=100, deadline=None)
+@_case(["check-charging", "--grid", "nan"])
+@_case(["verify-duals", "--instance", _INSTANCE, "--target", "nan", "--trials", "5"])
+@_case(["run", "--instance", _INSTANCE, "--seed", "-1"])
+@_case(["opt", "--instance", _INSTANCE], [("set", "n", float("inf"))])
+@given(
+    argv=_COMMANDS,
+    bipartite=st.booleans(),
+    mutations=st.lists(_MUTATION, max_size=3),
+    cut=st.none() | st.integers(0, 200),
+    garbled=st.booleans(),
+)
+def test_cli_exit_codes_under_garbled_input(
+    fuzz_dir, argv, bipartite, mutations, cut, garbled
+):
+    from fomlab.instance import random_instance, to_json_dict
+
+    base = to_json_dict(random_instance(4, 0.7, bipartite, 1))
+    path = fuzz_dir / "instance.json"
+    path.write_text(_garble(base, mutations, cut) if garbled else json.dumps(base))
+    argv = [str(path) if a == _INSTANCE else a for a in argv]
+    code, out, err = _in_process(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        # exit 1 only for a verification report that says it failed
+        assert argv[0] in ("verify-duals", "check-charging"), (argv, err)
+        report = json.loads(out)
+        passed = report["summary"]["pass"] if argv[0] == "verify-duals" else (
+            report["properties"]["passed"])
+        assert passed is False

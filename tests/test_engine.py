@@ -19,7 +19,7 @@ from fomlab.engine import (
     sample_ranks,
 )
 from fomlab.errors import IndexOutOfRange, RankMissing
-from fomlab.instance import A, D, build_instance
+from fomlab.instance import A, D, EventKind, build_instance, random_instance
 from fomlab.oracle import max_matching_general
 
 
@@ -84,6 +84,35 @@ def test_greedy_star():
     out = run_greedy(inst)
     assert out.size == 1
     assert out.partner[0] == 1  # earliest-arrived leaf
+
+
+def _greedy_reference(instance):
+    """Earliest-arrival rule, written out: partner and role per vertex."""
+    partner = [-1] * instance.n
+    role = [None] * instance.n
+    for ev in instance.events:
+        v = ev.vertex
+        if ev.kind is not EventKind.DEADLINE or partner[v] >= 0:
+            continue
+        free = [u for u in instance.adj[v] if partner[u] < 0]
+        if free:
+            u = min(free, key=lambda w: (instance.arrival_pos[w], w))
+            partner[v], partner[u] = u, v
+            role[v], role[u] = Role.ACTIVE, Role.PASSIVE
+    return partner, role
+
+
+def test_greedy_is_ranking_by_arrival_position():
+    rng = np.random.default_rng(17)
+    for i in range(200):
+        n = int(rng.integers(2, 41))
+        inst = random_instance(n, float(rng.uniform(0.1, 0.9)), i % 2 == 1, 900 + i)
+        partner, role = _greedy_reference(inst)
+        out = run_greedy(inst)
+        assert out.pairs == frozenset(
+            (v, p) for v, p in enumerate(partner) if 0 <= v < p
+        )
+        assert list(out.role) == role
 
 
 def test_greedy_half_of_opt():
