@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .engine import Side
-from .errors import ChargingInvalid, OutOfDomain
+from .errors import ChargingInvalid, OutOfDomain, TooLarge
 
 E_INV = 1.0 / math.e
 
@@ -49,6 +49,10 @@ B2_CONSTANTS = PiecewiseConstants(
 
 CAP_OFFSET = 0.0128
 
+MAX_GRID_POINTS = 5001
+"""Largest grid axis, a step of 2e-4; the general bound peaks near 1.3 GB
+there, and each further halving of the step quadruples it."""
+
 
 @dataclass(frozen=True)
 class BoundGrid:
@@ -57,6 +61,12 @@ class BoundGrid:
     def __post_init__(self):
         if not (math.isfinite(self.step) and 0.0 < self.step <= 1.0):
             raise ChargingInvalid(f"grid step must lie in (0, 1], got {self.step}")
+        # the general bound builds (points x points) float arrays
+        if round(1.0 / self.step) + 1 > MAX_GRID_POINTS:
+            raise TooLarge(
+                f"grid step {self.step} needs more than {MAX_GRID_POINTS} points"
+                f" per axis; the smallest step is {1.0 / (MAX_GRID_POINTS - 1)}"
+            )
 
     def axis(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, round(1.0 / self.step) + 1)

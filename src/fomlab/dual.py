@@ -21,9 +21,11 @@ import numpy as np
 from ._parallel import CHUNK_SIZE, chunk_sizes, run_chunked
 from .charging import ChargingFunction, check_properties
 from .engine import (
+    MatchingOutcome,
     RankAssignment,
     Role,
     Side,
+    rank_positions,
     resume_ranking_batch,
     run_ranking,
     run_ranking_batch,
@@ -80,10 +82,17 @@ def marginal_rank(
 
 
 def find_victim(
-    instance: Instance, ranks: RankAssignment, w: int
+    instance: Instance,
+    ranks: RankAssignment,
+    w: int,
+    outcome: Optional[MatchingOutcome] = None,
 ) -> Optional[int]:
-    """The unique unmatched neighbor of active w that is matched without w."""
-    outcome = run_ranking(instance, ranks)
+    """The unique unmatched neighbor of active w that is matched without w.
+
+    `outcome` is Ranking's run on `ranks`, when the caller already has it.
+    """
+    if outcome is None:
+        outcome = run_ranking(instance, ranks)
     if outcome.role[w] is not Role.ACTIVE:
         raise NotActive(f"vertex {w} is not active under these ranks")
     without = run_without(instance, ranks, w)
@@ -115,7 +124,7 @@ def assign_duals(
         y_p = ranks.ranks[p]
         gain[v] = 1.0 - charging.g(y_p, ranks.sides[p])
         gain[p] = charging.g(y_p, ranks.sides[p])
-        z = find_victim(instance, ranks, v)
+        z = find_victim(instance, ranks, v, outcome)
         if z is not None:
             amount = charging.h(y_p, ranks.sides[p])
             comp_out[v] = amount
@@ -167,10 +176,13 @@ def simulate_alphas_batch(
     # base run until w's own deadline (Ranking is lazy and never picked w
     # before it), so each replay starts there, from the base pairs whose
     # active endpoint's deadline came earlier.
+    K, V = rank_positions(ranks_matrix)
+    partner_vm, active_vm = partner.T, active.T  # vertex-major (n x trials)
     step = np.empty(n, dtype=np.int32)
     step[list(instance.deadline_order)] = np.arange(n, dtype=np.int32)
-    # step at which each matched vertex's pair formed (unused if unmatched)
-    formed = np.where(active, step, step[np.maximum(partner, 0)])
+    # step at which each vertex's pair formed, n if it stays unmatched
+    formed = np.where(active_vm, step[:, None], step[partner_vm])
+    formed[partner_vm < 0] = n
     for w in range(n):
         nbrs = np.array(instance.adj[w], dtype=np.int64)
         if not len(nbrs):
@@ -180,13 +192,13 @@ def simulate_alphas_batch(
         if not len(cand):
             continue
         t = int(step[w])
-        early = formed[cand] < t
-        partner_wo = np.where(early, partner[cand], -1)
-        active_wo = active[cand] & early
-        resume_ranking_batch(
-            instance, ranks_matrix[cand], partner_wo, active_wo, t, removed=w
-        )
-        hit = free[cand] & (partner_wo[:, nbrs] >= 0)
+        early = formed[:, cand] < t
+        K_wo = np.where(early, n, K[:, cand])
+        K_wo[w] = n
+        partner_wo = np.where(early, partner_vm[:, cand], -1)
+        active_wo = active_vm[:, cand] & early
+        resume_ranking_batch(instance, K_wo, V[:, cand], partner_wo, active_wo, t)
+        hit = free[cand] & (partner_wo[nbrs].T >= 0)
         if hit.sum(axis=1).max() > 1:
             raise InvariantViolated(f"multiple victims for vertex {w}")
         has_victim = hit.any(axis=1)
@@ -236,7 +248,7 @@ class FeasibilityReport:
     edges: tuple[EdgeEstimate, ...]
     target: float
     trials: int
-    min_mean: float
+    min_mean: Optional[float]  # None when the instance has no edges
     failing: tuple[tuple[int, int], ...]
     cond1_violations: int
 
@@ -334,7 +346,7 @@ def verify_feasibility(
     failing = tuple(
         (e.u, e.v) for e in estimates if e.mean + 3.0 * e.stderr < target
     )
-    min_mean = min((e.mean for e in estimates), default=float("inf"))
+    min_mean = min((e.mean for e in estimates), default=None)
     return FeasibilityReport(
         edges=tuple(estimates),
         target=target,
@@ -420,7 +432,7 @@ def exact_edge_cover(
             p = outcome.partner[a]
             add(a, 1.0, "g", p, -1.0)  # active share 1 - g(y_p)
             add(p, 0.0, "g", p, +1.0)  # passive share g(y_p)
-            z = find_victim(instance, rep, a)
+            z = find_victim(instance, rep, a, outcome)
             if z is not None:
                 add(a, 0.0, "h", p, -1.0)
                 add(z, 0.0, "h", p, +1.0)

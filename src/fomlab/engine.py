@@ -5,8 +5,10 @@ Greedy is Ranking with arrival positions as ranks.
 The deadline vertex of each matched pair is labeled active, its partner
 passive.  `run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
-scalar engine in the test suite.  `resume_ranking_batch` is its loop, which
-can also continue a batch from a mid-stream state.
+scalar engine in the test suite.  It works on integer rank positions
+(`rank_positions`), vertex-major, so that each deadline is one contiguous
+gather of its neighbours' positions and one min.  `resume_ranking_batch`
+is its loop, which can also continue a batch from a mid-stream state.
 """
 
 from __future__ import annotations
@@ -17,8 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IndexOutOfRange, RankMissing
+from .errors import IndexOutOfRange, ParamsInvalid, RankMissing
 from .instance import EventKind, Instance
+
+
+ARGSORT_ELEMENTS = 1 << 18
+"""Ranks argsorted at a time by `rank_positions` (whole rows, at least one),
+which bounds its int64 scratch to about 2 MB."""
 
 
 class Side(Enum):
@@ -150,6 +157,37 @@ def run_without(
     return run_ranking(instance, ranks, removed=removed)
 
 
+def rank_positions(ranks_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex-major rank positions of a (trials x n) rank matrix.
+
+    Returns (K, V), both (n x trials): K[v, t] is v's position in row t's
+    rank order, ties going to the smaller vertex id, and V[p, t] is the
+    vertex at position p.  Both are int16 when n < 2**15, int32 otherwise.
+    Raises ParamsInvalid unless every rank is finite.
+    """
+    trials, n = ranks_matrix.shape
+    dtype = np.int16 if n < 2**15 else np.int32
+    K = np.empty((n, trials), dtype=dtype)
+    V = np.empty((n, trials), dtype=dtype)
+    positions = np.arange(n, dtype=dtype)[:, None]
+    block_rows = max(1, ARGSORT_ELEMENTS // max(1, n))
+    for lo in range(0, trials, block_rows):
+        block = ranks_matrix[lo : lo + block_rows]
+        # checked a block at a time: a whole-matrix mask would raise peak RSS
+        if not np.isfinite(block).all():
+            raise ParamsInvalid("every rank in a batch must be finite")
+        order = np.argsort(block, axis=1)
+        # the default sort is not stable; only rows holding a tie need it
+        ranked = np.sort(block, axis=1)
+        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(block[tied], axis=1, kind="stable")
+        hi = lo + len(block)
+        V[:, lo:hi] = order.T
+        K[order.T, np.arange(lo, hi)] = positions
+    return K, V
+
+
 def run_ranking_batch(
     instance: Instance,
     ranks_matrix: np.ndarray,
@@ -158,49 +196,53 @@ def run_ranking_batch(
     """Replay Ranking for every row of ranks_matrix (trials x n).
 
     Returns (partner, active): partner is (trials x n) int32 with -1 for
-    unmatched, active a boolean matrix marking deadline-side endpoints.
+    unmatched, active a boolean matrix marking deadline-side endpoints;
+    both are transposed views of the kernel's vertex-major arrays.
     Ties break toward the smaller vertex id, matching the scalar engine for
-    all-At rank assignments.
+    all-At rank assignments.  Raises ParamsInvalid unless every rank is
+    finite.
     """
     trials, n = ranks_matrix.shape
     if n != instance.n:
         raise RankMissing(f"rank matrix covers {n} of {instance.n} vertices")
-    partner = np.full((trials, n), -1, dtype=np.int32)
-    active = np.zeros((trials, n), dtype=bool)
-    resume_ranking_batch(instance, ranks_matrix, partner, active, 0, removed)
-    return partner, active
+    K, V = rank_positions(ranks_matrix)
+    if removed is not None:
+        if not 0 <= removed < n:
+            raise IndexOutOfRange(f"vertex {removed} out of range [0, {n})")
+        K[removed] = n
+    partner = np.full((n, trials), -1, dtype=np.int32)
+    active = np.zeros((n, trials), dtype=bool)
+    resume_ranking_batch(instance, K, V, partner, active, 0)
+    return partner.T, active.T
 
 
 def resume_ranking_batch(
     instance: Instance,
-    ranks_matrix: np.ndarray,
+    K: np.ndarray,
+    V: np.ndarray,
     partner: np.ndarray,
     active: np.ndarray,
     start: int,
-    removed: Optional[int] = None,
 ) -> None:
-    """Run the deadlines deadline_order[start:] on every row, updating
-    partner and active in place.
+    """Run the deadlines deadline_order[start:] on every column, updating
+    K, partner and active (all n x trials) in place.
 
-    The caller supplies the state Ranking had just before step `start`;
-    `run_ranking_batch` is this loop started from the empty matching.
+    K and V come from `rank_positions`, with K[v] set to n wherever v is
+    already matched or removed; the caller supplies the state Ranking had
+    just before step `start`.  `run_ranking_batch` is this loop started
+    from the empty matching.
     """
-    rows = np.arange(len(ranks_matrix))
+    n = len(K)
     for v in instance.deadline_order[start:]:
-        if v == removed:
-            continue
-        nbrs = [u for u in instance.adj[v] if u != removed]
+        nbrs = instance.adj[v]
         if not nbrs:
             continue
-        nbrs_arr = np.array(nbrs, dtype=np.int32)
-        cand_ranks = np.where(
-            (partner[:, nbrs_arr] < 0), ranks_matrix[:, nbrs_arr], np.inf
-        )
-        best_idx = np.argmin(cand_ranks, axis=1)
-        best_rank = cand_ranks[rows, best_idx]
-        decide = (partner[:, v] < 0) & np.isfinite(best_rank)
-        chosen = nbrs_arr[best_idx[decide]]
-        rsel = rows[decide]
-        partner[rsel, v] = chosen
-        partner[rsel, chosen] = v
-        active[rsel, v] = True
+        best = K[np.fromiter(nbrs, np.intp, len(nbrs))].min(axis=0)
+        # v decides where both v and its best neighbour are still unmatched
+        rows = np.flatnonzero(np.maximum(K[v], best) < n)
+        chosen = V[best[rows], rows]
+        partner[v, rows] = chosen
+        partner[chosen, rows] = v
+        active[v, rows] = True
+        K[v, rows] = n
+        K[chosen, rows] = n

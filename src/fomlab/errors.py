@@ -38,7 +38,7 @@ class NotBipartite(FomlabError):
 
 
 class TooLarge(FomlabError):
-    """Brute-force search budget exceeded."""
+    """A requested computation exceeds its size budget."""
 
 
 class ChargingInvalid(FomlabError):

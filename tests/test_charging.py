@@ -24,7 +24,7 @@ from fomlab.charging import (
     ratio_general,
 )
 from fomlab.engine import Side
-from fomlab.errors import ChargingInvalid, OutOfDomain
+from fomlab.errors import ChargingInvalid, OutOfDomain, TooLarge
 
 
 def test_exponential_at_zero():
@@ -95,6 +95,14 @@ def test_grid_validation():
         with pytest.raises(ChargingInvalid):
             BoundGrid(step=step)
     assert len(BoundGrid(step=1.0).axis()) == 2
+
+
+def test_grid_size_limit():
+    # the general bound builds (points x points) arrays: 1e-5 would be ~80 GB each
+    for step in (1e-5, 1.9e-4):
+        with pytest.raises(TooLarge):
+            BoundGrid(step=step)
+    assert len(BoundGrid(step=2e-4).axis()) == 5001
 
 
 def test_f_bipartite_endpoints():

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -10,6 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 CLI = [sys.executable, "-m", "fomlab.cli"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run_cli(*args, env_extra=None):
@@ -225,6 +230,40 @@ def test_check_charging_bad_grid():
         assert res.returncode == 2, (grid, res.stdout)
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
+
+
+def _cap_address_space():
+    # if the grid check ever goes, fail with MemoryError instead of using ~80 GB
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_check_charging_tiny_grid_exits_2():
+    # a 1e-5 step would need 100,001-point axes and ~80 GB per array
+    start = time.perf_counter()
+    res = subprocess.run(
+        CLI + ["check-charging", "--grid", "1e-5"],
+        capture_output=True, text=True, preexec_fn=_cap_address_space,
+    )
+    assert time.perf_counter() - start < 30
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "points" in res.stderr
+    assert res.stdout == ""
+
+
+def test_verify_duals_without_edges_prints_null(tmp_path):
+    path = tmp_path / "empty.json"
+    res = run_cli("generate", "random", "--n", "2", "--p", "0", "--out", str(path))
+    assert res.returncode == 0, res.stderr
+    res = run_cli(
+        "verify-duals", "--instance", str(path), "--target", "0.5", "--trials", "10"
+    )
+    assert res.returncode == 0, res.stderr
+    data = json.loads(res.stdout, parse_constant=_reject_constant)
+    assert data["summary"]["min_mean"] is None
+    assert data["summary"]["pass"] is True
 
 
 @pytest.mark.parametrize("target", ["nan", "-inf", "inf"])
@@ -504,6 +543,8 @@ def _case(argv, mutations=()):
 @_case(["verify-duals", "--instance", _INSTANCE, "--target", "nan", "--trials", "5"])
 @_case(["run", "--instance", _INSTANCE, "--seed", "-1"])
 @_case(["opt", "--instance", _INSTANCE], [("set", "n", float("inf"))])
+@_case(["verify-duals", "--instance", _INSTANCE, "--target", "0.5", "--trials", "5"],
+       [("set", "edges", [])])
 @given(
     argv=_COMMANDS,
     bipartite=st.booleans(),
@@ -523,6 +564,9 @@ def test_cli_exit_codes_under_garbled_input(
     code, out, err = _in_process(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    if out:
+        # every report is strict JSON: no NaN or Infinity
+        json.loads(out, parse_constant=_reject_constant)
     if code == 1:
         # exit 1 only for a verification report that says it failed
         assert argv[0] in ("verify-duals", "check-charging"), (argv, err)

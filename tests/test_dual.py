@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -89,6 +90,32 @@ def test_find_victim_requires_active():
     ranks = ranks_from_values([0.4, 0.6])
     with pytest.raises(NotActive):
         find_victim(inst, ranks, 1)
+
+
+def test_find_victim_takes_the_base_outcome(small_instances, monkeypatch):
+    import fomlab.dual as dual_mod
+
+    rng = np.random.default_rng(31)
+    for inst in small_instances:
+        ranks = ranks_from_values(rng.random(inst.n))
+        outcome = run_ranking(inst, ranks)
+        for w in range(inst.n):
+            if outcome.role[w] is Role.ACTIVE:
+                assert find_victim(inst, ranks, w, outcome) == find_victim(inst, ranks, w)
+    # assign_duals and exact_edge_cover run the base Ranking once per rank vector
+    calls = []
+    real = dual_mod.run_ranking
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dual_mod, "run_ranking", counting)
+    assign_duals(triangle(), ranks_from_values([0.9, 0.3, 0.6]), PIECEWISE)
+    assert len(calls) == 1
+    calls.clear()
+    exact_edge_cover(triangle(), (0, 1), PIECEWISE)
+    assert len(calls) == 6  # one per rank order of three vertices
 
 
 def test_assign_duals_triangle_exponential():
@@ -235,6 +262,21 @@ def test_batch_alphas_match_full_replay_n160():
     inst = random_instance(160, 0.025, False, 7)
     matrix = np.random.default_rng(23).random((256, inst.n))
     assert _assert_matches_full_replay(inst, PIECEWISE, matrix) > 0
+
+
+def test_batch_alphas_reject_nonfinite_ranks():
+    matrix = np.array([[0.5, 0.2, 0.3], [0.5, math.inf, 0.3]])
+    with pytest.raises(ParamsInvalid):
+        simulate_alphas_batch(path(3), PIECEWISE, matrix)
+
+
+def test_verify_feasibility_without_edges():
+    inst = build_instance(2, [A(0), A(1), D(0), D(1)], [])
+    report = verify_feasibility(inst, EXPONENTIAL, 0.5, 10, 0)
+    assert report.min_mean is None
+    assert report.passed
+    summary = json.loads(json.dumps(report.as_dict(), allow_nan=False))["summary"]
+    assert summary["min_mean"] is None
 
 
 def test_trials_must_be_positive():

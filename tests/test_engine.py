@@ -3,22 +3,32 @@ import pytest
 
 from conftest import (
     enumerate_rank_orders,
+    path,
     single_edge,
     small_instance_collection,
     star,
     triangle,
 )
+from fomlab import engine
 from fomlab.engine import (
     Role,
     Side,
+    rank_positions,
     ranks_from_values,
+    resume_ranking_batch,
     run_greedy,
     run_ranking,
     run_ranking_batch,
     run_without,
     sample_ranks,
 )
-from fomlab.errors import IndexOutOfRange, RankMissing
+from fomlab.errors import IndexOutOfRange, ParamsInvalid, RankMissing
+from fomlab.hardness import (
+    AdversaryTreeParams,
+    LayeredParams,
+    gen_adversary_tree,
+    gen_ranking_hard,
+)
 from fomlab.instance import A, D, EventKind, build_instance, random_instance
 from fomlab.oracle import max_matching_general
 
@@ -194,3 +204,119 @@ def test_batch_matches_scalar_random():
             assert tuple(partner[i]) == out.partner
             out_wo = run_without(inst, ranks, removed)
             assert tuple(partner_wo[i]) == out_wo.partner
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_batch_rejects_nonfinite_ranks(bad):
+    # the scalar engine orders inf like any rank; the batch kernel refuses it
+    inst = path(3)
+    matrix = np.array([[0.5, 0.3, 0.3], [0.5, bad, 0.3]])
+    with pytest.raises(ParamsInvalid):
+        run_ranking_batch(inst, matrix)
+    with pytest.raises(ParamsInvalid):
+        run_ranking_batch(inst, matrix, removed=0)
+
+
+def test_batch_removed_out_of_range():
+    with pytest.raises(IndexOutOfRange):
+        run_ranking_batch(path(3), np.zeros((1, 3)), removed=3)
+
+
+# -- the rank-position kernel against the float argmin kernel it replaced -------
+
+
+def _argmin_kernel(instance, ranks_matrix, removed=None):
+    """Reference: per deadline, the argmin of the unmatched neighbours' ranks
+    over sorted neighbour ids (ties to the smaller id), row-major."""
+    trials, n = ranks_matrix.shape
+    partner = np.full((trials, n), -1, dtype=np.int32)
+    active = np.zeros((trials, n), dtype=bool)
+    rows = np.arange(trials)
+    for v in instance.deadline_order:
+        if v == removed:
+            continue
+        nbrs = [u for u in instance.adj[v] if u != removed]
+        if not nbrs:
+            continue
+        nbrs_arr = np.array(nbrs, dtype=np.int32)
+        cand_ranks = np.where(
+            (partner[:, nbrs_arr] < 0), ranks_matrix[:, nbrs_arr], np.inf
+        )
+        best_idx = np.argmin(cand_ranks, axis=1)
+        best_rank = cand_ranks[rows, best_idx]
+        decide = (partner[:, v] < 0) & np.isfinite(best_rank)
+        chosen = nbrs_arr[best_idx[decide]]
+        rsel = rows[decide]
+        partner[rsel, v] = chosen
+        partner[rsel, chosen] = v
+        active[rsel, v] = True
+    return partner, active
+
+
+def _kernel_instances():
+    out = list(small_instance_collection())
+    out.append(gen_ranking_hard(LayeredParams(k=10, h=6)))
+    out += [gen_adversary_tree(AdversaryTreeParams(k=3, h=3, seed=s)) for s in (1, 2)]
+    for i, (n, bipartite) in enumerate(
+        [(20, False), (40, True), (60, False), (100, True), (160, False), (160, True)]
+    ):
+        out.append(random_instance(n, min(1.0, 6.0 / n), bipartite, 40 + i))
+    return out
+
+
+def _with_ties(matrix):
+    tied = matrix.copy()
+    tied[:, ::3] = np.round(tied[:, ::3], 1)
+    return tied
+
+
+@pytest.mark.parametrize("rows", [1, 31, 32, 33, 300])
+def test_rank_position_kernel_matches_argmin_kernel(rows):
+    rng = np.random.default_rng(rows)
+    for inst in _kernel_instances():
+        plain = rng.random((rows, inst.n))
+        for matrix in (plain, _with_ties(plain)):
+            for removed in (None, int(rng.integers(inst.n))):
+                want = _argmin_kernel(inst, matrix, removed)
+                # default argsort blocks, then blocks of 32 rows
+                for block_elements in (engine.ARGSORT_ELEMENTS, 32 * inst.n):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(engine, "ARGSORT_ELEMENTS", block_elements)
+                        got = run_ranking_batch(inst, matrix, removed)
+                    assert got[0].shape == (rows, inst.n)
+                    assert got[0].dtype == np.int32 and got[1].dtype == bool
+                    assert np.array_equal(got[0], want[0]), (inst.n, removed)
+                    assert np.array_equal(got[1], want[1]), (inst.n, removed)
+
+
+def test_rank_positions_order_ties_by_vertex_id():
+    matrix = np.array([[0.5, 0.2, 0.5, 0.2], [0.1, 0.4, 0.3, 0.2]])
+    K, V = rank_positions(matrix)
+    assert K.T.tolist() == [[2, 0, 3, 1], [0, 3, 2, 1]]
+    assert V.T.tolist() == [[1, 3, 0, 2], [0, 3, 2, 1]]
+    assert K.dtype == np.int16
+
+
+def test_resume_mid_stream_equals_full_run():
+    rng = np.random.default_rng(5)
+    layered = gen_ranking_hard(LayeredParams(k=10, h=6))
+    for inst in (random_instance(40, 0.15, False, 5), layered):
+        n = inst.n
+        matrix = _with_ties(rng.random((33, n)))
+        partner, active = run_ranking_batch(inst, matrix)
+        step = np.empty(n, dtype=np.int64)
+        step[list(inst.deadline_order)] = np.arange(n)
+        p_vm, a_vm = partner.T, active.T
+        # a pair forms at its active endpoint's deadline
+        formed = np.where(a_vm, step[:, None], step[np.maximum(p_vm, 0)])
+        formed[p_vm < 0] = n
+        cols = np.arange(0, 33, 2)
+        for start in (0, 1, n // 3, n // 2, n - 1, n):
+            K, V = rank_positions(matrix[cols])
+            early = formed[:, cols] < start
+            K[early] = n
+            p = np.where(early, p_vm[:, cols], -1)
+            a = a_vm[:, cols] & early
+            resume_ranking_batch(inst, K, V, p, a, start)
+            assert np.array_equal(p.T, partner[cols]), start
+            assert np.array_equal(a.T, active[cols]), start

@@ -1,0 +1,63 @@
+"""The benchmark's tracer rebinds package functions by module and name.
+
+These tests import `perfbench/tracing.py` as it is and check that every
+name it patches still exists where it looks for it, and that its batch
+hooks accept what the batch kernel returns.  A rename in `src/` then fails
+here rather than in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fomlab.dual
+import fomlab.engine
+from fomlab.charging import PIECEWISE
+from fomlab.instance import random_instance
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patched_name_exists(tracing):
+    patches = tracing._patches(tracing.Tracer())
+    assert patches
+    for owner, attr, _replacement in patches:
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def test_batch_hooks_accept_the_kernel_result(tracing):
+    inst = random_instance(20, 0.3, False, 1)
+    ranks = np.random.default_rng(1).random((8, inst.n))
+    tracer = tracing.Tracer()
+    base = fomlab.engine.run_ranking_batch(inst, ranks)
+    tracer._after_batch(base, (inst, ranks), {})
+    assert tracer.counts["engine.batch_rows"] == 8
+    assert tracer.counts["engine.batch_steps"] > 0
+    tracer._after_dual_batch(base, (inst, ranks), {})
+    w = max(range(inst.n), key=lambda v: len(inst.adj[v]))
+    replay = fomlab.engine.run_ranking_batch(inst, ranks, removed=w)
+    tracer._after_dual_batch(replay, (inst, ranks), {"removed": w})
+    assert tracer.counts["dual.replay_rows"] == 8
+
+
+def test_installed_tracer_sees_the_dual_batch_path(tracing):
+    inst = random_instance(20, 0.3, False, 2)
+    ranks = np.random.default_rng(2).random((16, inst.n))
+    original = fomlab.engine.run_ranking_batch
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        fomlab.dual.simulate_alphas_batch(inst, PIECEWISE, ranks)
+    names = {span[tracing.NAME] for span in tracer.spans}
+    assert {"dual.simulate", "engine.batch", "charging.grid"} <= names
+    assert fomlab.engine.run_ranking_batch is original
+    assert fomlab.dual.run_ranking_batch is original
