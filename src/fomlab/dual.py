@@ -184,7 +184,7 @@ def simulate_alphas_batch(
     formed = np.where(active_vm, step[:, None], step[partner_vm])
     formed[partner_vm < 0] = n
     for w in range(n):
-        nbrs = np.array(instance.adj[w], dtype=np.int64)
+        nbrs = instance.neighbors(w)
         if not len(nbrs):
             continue
         free = partner[:, nbrs] < 0
@@ -222,9 +222,8 @@ def _edge_cover_chunk(args):
     cond1_bad = int(
         np.sum(np.abs(alpha.sum(axis=1) - msize) > COND1_TOL)
     )
-    eu = np.array([e[0] for e in instance.edges], dtype=np.int64)
-    ev = np.array([e[1] for e in instance.edges], dtype=np.int64)
-    if len(eu):
+    if instance.m:
+        eu, ev = instance.edge_array.T
         cover = alpha[:, eu] + alpha[:, ev]
         sums = cover.sum(axis=0)
         sumsqs = (cover * cover).sum(axis=0)
@@ -301,7 +300,7 @@ def _edge_statistics(
         sumsqs += sq
         cond1_bad += bad
     estimates = []
-    for i, (u, v) in enumerate(instance.edges):
+    for i, (u, v) in enumerate(instance.edge_array.tolist()):
         mean = sums[i] / trials
         var = max(0.0, sumsqs[i] / trials - mean * mean)
         stderr = math.sqrt(var / trials)
@@ -319,7 +318,7 @@ def estimate_edge_cover(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of E[alpha_u + alpha_v] over fresh rank draws."""
     e = (min(edge), max(edge))
-    if e not in instance.edges:
+    if not instance.has_edge(*e):
         raise RankMissing(f"edge {e} not in instance")
     estimates, _ = _edge_statistics(instance, charging, trials, seed, workers)
     for est in estimates:
@@ -393,7 +392,7 @@ def exact_edge_cover(
     if n > 4:
         raise TooLarge("exact quadrature oracle is limited to n <= 4")
     eu, ev = min(edge), max(edge)
-    if (eu, ev) not in instance.edges:
+    if not instance.has_edge(eu, ev):
         raise RankMissing(f"edge {(eu, ev)} not in instance")
 
     cache: dict[tuple[str, int], float] = {}

@@ -234,10 +234,10 @@ def resume_ranking_batch(
     """
     n = len(K)
     for v in instance.deadline_order[start:]:
-        nbrs = instance.adj[v]
-        if not nbrs:
+        nbrs = instance.neighbors(v)
+        if not len(nbrs):
             continue
-        best = K[np.fromiter(nbrs, np.intp, len(nbrs))].min(axis=0)
+        best = K[nbrs].min(axis=0)
         # v decides where both v and its best neighbour are still unmatched
         rows = np.flatnonzero(np.maximum(K[v], best) < n)
         chosen = V[best[rows], rows]

@@ -64,7 +64,7 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
     k, h = params.k, params.h
     rng = np.random.default_rng(params.seed)
     events: list[Event] = []
-    edges: list[tuple[int, int]] = []
+    tree_edges: list[tuple[int, int]] = []
     color: list[int] = []
 
     def new_vertex(c: int) -> int:
@@ -80,21 +80,26 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
             children = [new_vertex(1 - color[u]) for _ in range(k + 1)]
             for c in children:
                 events.append(A(c))
-                edges.append((u, c))
+                tree_edges.append((u, c))
             events.append(D(u))
             keep = rng.permutation(k + 1)[:k]  # promoted to next-level u's
             promoted = [children[i] for i in sorted(keep)]
             next_frontier.extend(promoted)
         frontier = next_frontier
 
-    a_order = [frontier[i] for i in rng.permutation(len(frontier))]
-    b_color = 1 - color[a_order[0]] if a_order else 0
-    for i in range(len(a_order)):
+    a_order = np.array(frontier, dtype=np.int64)[rng.permutation(len(frontier))]
+    b_color = 1 - color[a_order[0]] if len(a_order) else 0
+    first_b = len(color)
+    for _ in a_order:
         b = new_vertex(b_color)
         events.append(A(b))
-        for a_v in a_order[i:]:
-            edges.append((b, a_v))
         events.append(D(b))
+    # b_i sees the suffix a_order[i:]
+    rows, cols = np.triu_indices(len(a_order))
+    edges = np.concatenate(
+        [np.array(tree_edges, dtype=np.int64).reshape(-1, 2),
+         np.stack([first_b + rows, a_order[cols]], axis=1)]
+    )
 
     seen_deadlines = {ev.vertex for ev in events if ev.kind.value == "deadline"}
     for v in range(len(color)):
@@ -108,17 +113,14 @@ def gen_ranking_hard(params: LayeredParams) -> Instance:
     consecutive groups, one pendant per vertex; deadlines in index order."""
     k, h = params.k, params.h
     n = k * h
-    group = lambda i: i // k
-    color = [group(i) % 2 for i in range(n)] + [1 - (group(i) % 2) for i in range(n)]
-    edges = [(i, n + i) for i in range(n)]  # pendants
-    for i in range(n):
-        gi = group(i)
-        if gi + 1 < h:
-            for j in range((gi + 1) * k, (gi + 2) * k):
-                edges.append((i, j))
-    events = [A(v) for v in range(2 * n)]
-    events += [D(i) for i in range(n)]
-    events += [D(n + i) for i in range(n)]
+    parity = np.arange(n) // k % 2
+    color = np.concatenate([parity, 1 - parity]).tolist()
+    pendants = np.stack([np.arange(n), n + np.arange(n)], axis=1)
+    # vertex i of every group but the last meets all k of the next group
+    src = np.repeat(np.arange(n - k), k)
+    dst = src // k * k + k + np.tile(np.arange(k), n - k)
+    edges = np.concatenate([pendants, np.stack([src, dst], axis=1)])
+    events = [A(v) for v in range(2 * n)] + [D(v) for v in range(2 * n)]
     return build_instance(2 * n, events, edges, color)
 
 

@@ -3,15 +3,18 @@
 An instance is a set of vertices, an interleaved stream of arrival/deadline
 events (one of each per vertex, arrival first) and an undirected edge list.
 Every edge must satisfy the model guarantee: both endpoints arrive before
-either endpoint's deadline.
+either endpoint's deadline.  Edges are kept as numpy arrays (a sorted edge
+array and CSR adjacency), so that large instances are built and read without
+one Python object per edge.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -46,26 +49,56 @@ def D(v: int) -> Event:
     return Event(EventKind.DEADLINE, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Validated, immutable fully online matching instance.
 
-    Derived fields (adjacency, event positions, deadline order) are computed
-    once at construction; treat all fields as read-only.
+    The edges are stored once, as numpy arrays: `edge_array` is (m, 2)
+    int32 with u < v in each row and the rows sorted, and `indptr`/`indices`
+    are its CSR adjacency, vertex v's neighbours being
+    `indices[indptr[v]:indptr[v + 1]]` in ascending order.  The tuple views
+    `edges` and `adj` are built on first use and cached; they take no part in
+    equality, hashing or repr.  Make instances with `build_instance` and
+    treat every field as read-only.
     """
 
     n: int
     events: tuple[Event, ...]
-    edges: tuple[tuple[int, int], ...]
     bipartition: Optional[tuple[int, ...]]
-    arrival_pos: tuple[int, ...]
-    deadline_pos: tuple[int, ...]
-    adj: tuple[tuple[int, ...], ...]
-    deadline_order: tuple[int, ...]
+    edge_array: np.ndarray
+    arrival_pos: tuple[int, ...] = field(repr=False)
+    deadline_pos: tuple[int, ...] = field(repr=False)
+    deadline_order: tuple[int, ...] = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edge array as sorted (u, v) tuples, u < v."""
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's ascending neighbours, as tuples."""
+        ptr = self.indptr.tolist()
+        flat = self.indices.tolist()
+        return tuple(tuple(flat[ptr[v] : ptr[v + 1]]) for v in range(self.n))
+
+    def neighbors(self, v: int) -> np.ndarray:
+        """v's ascending neighbours: a view into `indices`."""
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether {u, v} is an edge: a binary search of u's CSR row."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        row = self.neighbors(u)
+        i = int(np.searchsorted(row, v))
+        return i < len(row) and bool(row[i] == v)
 
     def is_bipartite(self) -> bool:
         return self.bipartition is not None
@@ -74,17 +107,73 @@ class Instance:
         """True iff u's deadline precedes v's."""
         return self.deadline_pos[u] < self.deadline_pos[v]
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.events == other.events
+            and self.bipartition == other.bipartition
+            and np.array_equal(self.edge_array, other.edge_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (self.n, self.events, self.bipartition, self.edge_array.tobytes())
+        )
+
+
+def _edge_pairs(edges) -> np.ndarray:
+    """The edges as an (m, 2) integer array."""
+    pairs = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
+    if pairs.shape == (0,):
+        return np.empty((0, 2), dtype=np.int64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+    if pairs.dtype.kind not in "iu" and pairs.size:
+        # also ids beyond int64, which numpy keeps as objects or floats
+        raise IndexOutOfRange("edge endpoints must be integer vertex ids")
+    return pairs
+
+
+def _raise_first_fault(keys, loop, late, head, pairs, n) -> None:
+    """Raise the error a one-edge-at-a-time check meets first.
+
+    Edges before `head` are in range; `keys` identifies each of them
+    regardless of orientation.  Per edge the checks run in the order range,
+    self-loop, duplicate of an earlier edge, model guarantee.
+    """
+    order = np.argsort(keys, kind="stable")
+    dup = np.zeros(len(keys), dtype=bool)
+    dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    bad = loop | dup | late
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = divmod(int(keys[i]), n)
+        if loop[i]:
+            raise SelfLoop(f"self-loop at vertex {a}")
+        if dup[i]:
+            raise DuplicateEdge(f"duplicate edge {(a, b)}")
+        raise EdgeViolatesModel(
+            f"edge {(a, b)}: an endpoint arrives after the other's deadline"
+        )
+    u, v = pairs[head].tolist()
+    raise IndexOutOfRange(f"edge ({u}, {v}) out of range [0, {n})")
+
 
 def build_instance(
     n: int,
     events: Sequence[Event],
-    edges: Iterable[tuple[int, int]],
+    edges,
     bipartition: Optional[Sequence[int]] = None,
 ) -> Instance:
     """Validate the raw pieces and assemble an Instance.
 
-    Raises MalformedEvents, EdgeViolatesModel, SelfLoop or DuplicateEdge when
-    the input breaks the model's guarantees.
+    `edges` is an iterable of (u, v) pairs or an (m, 2) integer array, in
+    any order and orientation.  Raises MalformedEvents, IndexOutOfRange,
+    SelfLoop, DuplicateEdge or EdgeViolatesModel when the input breaks the
+    model's guarantees; the edge error is the one met first when the edges
+    are checked one at a time in input order.
     """
     if n < 0:
         raise MalformedEvents(f"negative vertex count {n}")
@@ -106,49 +195,58 @@ def build_instance(
         if arrival_pos[v] > deadline_pos[v]:
             raise MalformedEvents(f"vertex {v} has its deadline before its arrival")
 
-    seen: set[tuple[int, int]] = set()
-    norm_edges: list[tuple[int, int]] = []
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRange(f"edge ({u}, {v}) out of range [0, {n})")
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise DuplicateEdge(f"duplicate edge {e}")
-        seen.add(e)
-        a, b = e
-        if max(arrival_pos[a], arrival_pos[b]) > min(deadline_pos[a], deadline_pos[b]):
-            raise EdgeViolatesModel(
-                f"edge {e}: an endpoint arrives after the other's deadline"
-            )
-        norm_edges.append(e)
-    norm_edges.sort()
+    pairs = _edge_pairs(edges)
+    u, v = pairs[:, 0], pairs[:, 1]
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    # the edges before the first out-of-range one are checked first
+    head = int(np.argmax(out)) if out.any() else len(pairs)
+    lo = np.minimum(u[:head], v[:head]).astype(np.int64)
+    hi = np.maximum(u[:head], v[:head]).astype(np.int64)
+    keys = lo * n + hi
+    sorted_keys = np.sort(keys)
+    apos = np.array(arrival_pos, dtype=np.int64)
+    dpos = np.array(deadline_pos, dtype=np.int64)
+    loop = lo == hi
+    late = np.maximum(apos[lo], apos[hi]) > np.minimum(dpos[lo], dpos[hi])
+    if (
+        head < len(pairs)
+        or loop.any()
+        or late.any()
+        or (sorted_keys[1:] == sorted_keys[:-1]).any()
+    ):
+        _raise_first_fault(keys, loop, late, head, pairs, n)
+    first, second = np.divmod(sorted_keys, n)
+    edge_array = np.stack([first, second], axis=1).astype(np.int32)
 
     bip: Optional[tuple[int, ...]] = None
     if bipartition is not None:
         if len(bipartition) != n or any(s not in (0, 1) for s in bipartition):
             raise MalformedEvents("bipartition must assign 0/1 to every vertex")
-        for u, v in norm_edges:
-            if bipartition[u] == bipartition[v]:
-                raise MalformedEvents(f"edge ({u}, {v}) does not cross the bipartition")
-        bip = tuple(bipartition)
+        side = np.array(bipartition, dtype=np.int8)
+        same = side[first] == side[second]
+        if same.any():
+            a, b = edge_array[int(np.argmax(same))].tolist()
+            raise MalformedEvents(f"edge ({a}, {b}) does not cross the bipartition")
+        bip = tuple(int(s) for s in bipartition)
 
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in norm_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order = sorted(range(n), key=lambda v: deadline_pos[v])
+    # both orientations of every edge, sorted by (row, column)
+    entries = np.sort(np.concatenate([sorted_keys, second * n + first]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(first, minlength=n) + np.bincount(second, minlength=n),
+        out=indptr[1:],
+    )
 
     return Instance(
         n=n,
         events=tuple(events),
-        edges=tuple(norm_edges),
         bipartition=bip,
+        edge_array=edge_array,
         arrival_pos=tuple(arrival_pos),
         deadline_pos=tuple(deadline_pos),
-        adj=tuple(tuple(sorted(a)) for a in adj),
-        deadline_order=tuple(order),
+        deadline_order=tuple(np.argsort(dpos).tolist()),
+        indptr=indptr,
+        indices=(entries % n).astype(np.int32),
     )
 
 
@@ -179,6 +277,11 @@ def from_one_sided(
     return build_instance(n, events, edges, bipartition)
 
 
+PAIR_BLOCK = 1 << 18
+"""Candidate vertex pairs `random_instance` masks at a time (whole rows, at
+least one), which bounds its scratch memory."""
+
+
 def random_instance(
     n: int, edge_prob: float, bipartite: bool, seed: int
 ) -> Instance:
@@ -187,38 +290,37 @@ def random_instance(
     The 2n event slots are a uniform random order conditioned on each arrival
     preceding its deadline; candidate edges are sampled independently with
     probability edge_prob and dropped when they violate the model guarantee.
+    Candidates are all pairs u < v (only those crossing the bipartition for
+    bipartite instances), each drawing one uniform in lexicographic order.
     """
     if not 0.0 <= edge_prob <= 1.0:
         raise ParamsInvalid(f"edge_prob {edge_prob} outside [0, 1]")
     rng = np.random.default_rng(seed)
-    slots = rng.permutation(2 * n)
+    slots = np.sort(rng.permutation(2 * n).reshape(n, 2), axis=1)
+    apos, dpos = slots[:, 0], slots[:, 1]
     events: list[Event] = [None] * (2 * n)  # type: ignore[list-item]
-    arrival_pos = [0] * n
-    deadline_pos = [0] * n
-    for v in range(n):
-        a, d = sorted((int(slots[2 * v]), int(slots[2 * v + 1])))
+    for v, (a, d) in enumerate(slots.tolist()):
         events[a] = A(v)
         events[d] = D(v)
-        arrival_pos[v] = a
-        deadline_pos[v] = d
 
-    bipartition: Optional[list[int]] = None
-    if bipartite:
-        bipartition = [int(s) for s in rng.integers(0, 2, size=n)]
+    side = rng.integers(0, 2, size=n) if bipartite else None
 
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if bipartition is not None and bipartition[u] == bipartition[v]:
-                continue
-            if rng.random() >= edge_prob:
-                continue
-            if max(arrival_pos[u], arrival_pos[v]) > min(
-                deadline_pos[u], deadline_pos[v]
-            ):
-                continue  # violates the model guarantee: drop, don't resample
-            edges.append((u, v))
-    return build_instance(n, events, edges, bipartition)
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    rows = max(1, PAIR_BLOCK // max(1, n))
+    for start in range(0, n, rows):
+        u = np.arange(start, min(n, start + rows))[:, None]
+        candidate = np.arange(n) > u
+        if side is not None:
+            candidate &= side != side[u]
+        cu, cv = np.nonzero(candidate)  # row-major: lexicographic (u, v)
+        cu += start
+        keep = rng.random(len(cu)) < edge_prob
+        cu, cv = cu[keep], cv[keep]
+        # drop, don't resample, pairs that violate the model guarantee
+        valid = np.maximum(apos[cu], apos[cv]) <= np.minimum(dpos[cu], dpos[cv])
+        blocks.append(np.stack([cu[valid], cv[valid]], axis=1))
+    bipartition = side.tolist() if side is not None else None
+    return build_instance(n, events, np.concatenate(blocks), bipartition)
 
 
 def to_json_dict(instance: Instance) -> dict:
@@ -227,20 +329,34 @@ def to_json_dict(instance: Instance) -> dict:
         "events": [
             {"kind": ev.kind.value, "v": ev.vertex} for ev in instance.events
         ],
-        "edges": [[u, v] for u, v in instance.edges],
+        "edges": instance.edge_array.tolist(),
         "bipartition": list(instance.bipartition)
         if instance.bipartition is not None
         else None,
     }
 
 
+def _json_int(value, error: type, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> Instance:
+    n = _json_int(data["n"], MalformedEvents, "vertex count")
     events = [
-        Event(EventKind(ev["kind"]), int(ev["v"])) for ev in data["events"]
+        Event(EventKind(ev["kind"]), _json_int(ev["v"], MalformedEvents, "event vertex"))
+        for ev in data["events"]
     ]
-    edges = [(int(u), int(v)) for u, v in data["edges"]]
+    edges = [
+        [_json_int(x, IndexOutOfRange, "edge endpoint") for x in pair]
+        for pair in data["edges"]
+    ]
     bip = data.get("bipartition")
-    return build_instance(int(data["n"]), events, edges, bip)
+    if bip is not None:
+        bip = [_json_int(s, MalformedEvents, "bipartition side") for s in bip]
+    return build_instance(n, events, edges, bip)
 
 
 def save_instance(instance: Instance, fp: IO[str]) -> None:

@@ -8,9 +8,10 @@ suite cross-validates them against each other and against networkx.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvariantViolated, NotBipartite, TooLarge
 from .instance import Instance
@@ -25,14 +26,9 @@ class OracleResult:
 
 
 def _check_witness(instance: Instance, witness) -> None:
-    n, adj = instance.n, instance.adj
     used: set[int] = set()
     for u, v in witness:
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvariantViolated(f"witness edge {(u, v)} not in graph")
-        nbrs = adj[u]
-        i = bisect_left(nbrs, v)
-        if i == len(nbrs) or nbrs[i] != v:
+        if not instance.has_edge(u, v):
             raise InvariantViolated(f"witness edge {(u, v)} not in graph")
         if u in used or v in used:
             raise InvariantViolated("witness is not a matching")
@@ -45,14 +41,14 @@ def _greedy_start(instance: Instance) -> list[int]:
     searches: vertices in ascending degree, each matched to its free
     neighbour of lowest degree.  Low-degree vertices have the fewest
     chances to be matched later, so this leaves few augmenting paths."""
-    adj = instance.adj
-    deg = [len(a) for a in adj]
+    deg_array = np.diff(instance.indptr)
+    deg = deg_array.tolist()
     match = [-1] * instance.n
-    for v in sorted(range(instance.n), key=deg.__getitem__):
+    for v in np.argsort(deg_array, kind="stable").tolist():
         if match[v] != -1:
             continue
         best = -1
-        for w in adj[v]:
+        for w in instance.neighbors(v).tolist():
             if match[w] == -1 and (best == -1 or deg[w] < deg[best]):
                 best = w
         if best != -1:
@@ -71,10 +67,13 @@ def max_matching_bipartite(instance: Instance) -> OracleResult:
     """Exact maximum matching via Hopcroft-Karp with layered BFS phases."""
     if instance.bipartition is None:
         raise NotBipartite("instance carries no bipartition witness")
-    adj = instance.adj
     left = [v for v in range(instance.n) if instance.bipartition[v] == 0]
-    INF = instance.n + 1
     match = _greedy_start(instance)
+    if all(match[u] != -1 for u in left):
+        # no free left vertex, so no BFS phase: the tuple adjacency stays unbuilt
+        return _result(instance, match)
+    adj = instance.adj
+    INF = instance.n + 1
     # dist[-1], the sentinel slot, is the layer of the free right vertices:
     # match[w] == -1 indexes it.
     dist = [INF] * (instance.n + 1)

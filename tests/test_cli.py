@@ -210,6 +210,56 @@ def test_three_element_edge_exits_2(tmp_path):
     assert "malformed instance" in res.stderr
 
 
+def _events_arriving(v):
+    """The two-vertex event stream with `v` as the second arrival's id."""
+    return [
+        {"kind": "arrival", "v": 0}, {"kind": "arrival", "v": v},
+        {"kind": "deadline", "v": 0}, {"kind": "deadline", "v": 1},
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"edges": [[0.5, 1]]},
+        {"edges": [[0, 1.0]]},
+        {"edges": [["0", "1"]]},
+        {"edges": [[True, 1]]},
+        {"n": 2.0},
+        {"n": "2"},
+        {"events": _events_arriving(1.0)},
+        {"events": _events_arriving(True)},
+        {"events": _events_arriving("1")},
+        {"bipartition": [0, 1.0]},
+        {"bipartition": [False, True]},
+    ],
+)
+def test_non_integer_ids_exit_2(tmp_path, overrides):
+    path = tmp_path / "ids.json"
+    path.write_text(_instance_json(**overrides))
+    code, out, err = _in_process(
+        ["ratio", "--instance", str(path), "--trials", "5", "--workers", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be an integer" in err, err
+
+
+@pytest.mark.parametrize("big", [99999999999999999999999, -(2**63) - 1, 2**63])
+def test_vertex_ids_beyond_int64_exit_2(tmp_path, big):
+    from fomlab.errors import IndexOutOfRange
+    from fomlab.instance import load_instance
+
+    path = tmp_path / "big.json"
+    path.write_text(_instance_json(edges=[[0, big]]))
+    with open(path) as fp, pytest.raises(IndexOutOfRange):
+        load_instance(fp)
+    code, out, err = _in_process(
+        ["ratio", "--instance", str(path), "--trials", "5", "--workers", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_charging_piecewise():
     res = run_cli("check-charging", "--kind", "piecewise", "--grid", "1e-3")
     assert res.returncode == 0
@@ -480,12 +530,17 @@ _JSON = st.recursive(
     max_leaves=6,
 )
 _KEYS = st.sampled_from(["n", "events", "edges", "bipartition"])
+# vertex ids that are not JSON integers in int64 range
+_ODD_IDS = st.sampled_from(
+    [0.5, 1.0, -0.0, float("nan"), "0", True, False, None, [0], 2**64, -(2**70)]
+)
 _MUTATION = st.one_of(
     st.tuples(st.just("set"), _KEYS, _JSON),
     st.tuples(st.just("drop"), _KEYS),
     st.tuples(st.just("event"), st.integers(0, 7), st.sampled_from(["kind", "v"]),
-              _JSON),
+              _JSON | _ODD_IDS),
     st.tuples(st.just("edge"), st.integers(0, 5), _JSON),
+    st.tuples(st.just("endpoint"), st.integers(0, 5), st.integers(0, 1), _ODD_IDS),
 )
 
 
@@ -503,8 +558,33 @@ def _garble(base, mutations, cut):
                 ev[m[2]] = m[3]
         elif m[0] == "edge" and isinstance(edges, list) and edges:
             edges[m[1] % len(edges)] = m[2]
+        elif m[0] == "endpoint" and isinstance(edges, list) and edges:
+            edge = edges[m[1] % len(edges)]
+            if isinstance(edge, list) and len(edge) == 2:
+                edge[m[2]] = m[3]
     text = json.dumps(data)
     return text if cut is None else text[:cut]
+
+
+def _holds_odd_id(text):
+    """Whether an instance file parses and holds a vertex count, event
+    vertex, edge endpoint or bipartition side that is not a JSON integer in
+    int64 range; loading such a file must fail."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        return False
+    if not isinstance(data, dict):
+        return False
+    ids = [data["n"]] if "n" in data else []
+    events, edges, sides = (data.get(k) for k in ("events", "edges", "bipartition"))
+    if isinstance(events, list):
+        ids += [ev["v"] for ev in events if isinstance(ev, dict) and "v" in ev]
+    if isinstance(edges, list):
+        ids += [x for e in edges if isinstance(e, list) and len(e) == 2 for x in e]
+    if isinstance(sides, list):
+        ids += sides
+    return any(type(x) is not int or not -(2**63) <= x < 2**63 for x in ids)
 
 
 _INSTANCE = "@instance"
@@ -545,6 +625,10 @@ def _case(argv, mutations=()):
 @_case(["opt", "--instance", _INSTANCE], [("set", "n", float("inf"))])
 @_case(["verify-duals", "--instance", _INSTANCE, "--target", "0.5", "--trials", "5"],
        [("set", "edges", [])])
+@_case(["ratio", "--workers", "1", "--instance", _INSTANCE], [("endpoint", 0, 1, 0.5)])
+@_case(["opt", "--instance", _INSTANCE], [("endpoint", 1, 0, 2**64)])
+@_case(["run", "--instance", _INSTANCE], [("event", 2, "v", True)])
+@_case(["opt", "--instance", _INSTANCE], [("set", "n", 4.0)])
 @given(
     argv=_COMMANDS,
     bipartite=st.booleans(),
@@ -559,11 +643,15 @@ def test_cli_exit_codes_under_garbled_input(
 
     base = to_json_dict(random_instance(4, 0.7, bipartite, 1))
     path = fuzz_dir / "instance.json"
-    path.write_text(_garble(base, mutations, cut) if garbled else json.dumps(base))
+    text = _garble(base, mutations, cut) if garbled else json.dumps(base)
+    path.write_text(text)
+    reads_instance = _INSTANCE in argv
     argv = [str(path) if a == _INSTANCE else a for a in argv]
     code, out, err = _in_process(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
+    if reads_instance and _holds_odd_id(text):
+        assert code == 2, (argv, text, out)
     if out:
         # every report is strict JSON: no NaN or Infinity
         json.loads(out, parse_constant=_reject_constant)

@@ -61,3 +61,22 @@ def test_installed_tracer_sees_the_dual_batch_path(tracing):
     assert {"dual.simulate", "engine.batch", "charging.grid"} <= names
     assert fomlab.engine.run_ranking_batch is original
     assert fomlab.dual.run_ranking_batch is original
+
+
+def test_installed_tracer_sees_each_generator_build(tracing):
+    # the generators call `build_instance` through the hardness module, where
+    # the tracer rebinds it, so traced instance.build_s covers their builds
+    import fomlab.hardness as hardness
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        built = [
+            hardness.gen_ranking_hard(hardness.LayeredParams(k=3, h=4)),
+            hardness.gen_adversary_tree(hardness.AdversaryTreeParams(k=2, h=2, seed=1)),
+        ]
+    spans = tracer.spans
+    gens = [i for i, s in enumerate(spans) if s[tracing.NAME] == "hardness.gen"]
+    builds = [s for s in spans if s[tracing.NAME] == "instance.build"]
+    assert len(gens) == 2
+    assert sorted(s[tracing.PARENT] for s in builds) == gens
+    assert tracer.counts["instance.edges_built"] == sum(inst.m for inst in built)
