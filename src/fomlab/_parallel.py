@@ -10,16 +10,36 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from .errors import ParamsInvalid
+
 CHUNK_SIZE = 4096
+MAX_WORKERS = 1024
+"""Largest worker count accepted from --workers or FOMLAB_THREADS; the CPU
+count is capped to it."""
 
 
 def resolve_workers(workers=None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("FOMLAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker count: `workers`, else FOMLAB_THREADS, else the CPU count.
+
+    Counts below 1 mean 1.  A value that is not an integer, or is above
+    MAX_WORKERS, raises ParamsInvalid.
+    """
+    if workers is None:
+        workers = os.environ.get("FOMLAB_THREADS")
+        if not workers:
+            return min(os.cpu_count() or 1, MAX_WORKERS)
+    try:
+        count = int(workers)
+    except (TypeError, ValueError) as exc:
+        raise ParamsInvalid(f"worker count must be an integer, got {workers!r}") from exc
+    if count > MAX_WORKERS:
+        raise ParamsInvalid(f"worker count {count} is above {MAX_WORKERS}")
+    return max(1, count)
+
+
+def pool_size(workers, tasks: int) -> int:
+    """Processes `run_chunked` uses for `tasks` chunks: at most one each."""
+    return min(resolve_workers(workers), tasks)
 
 
 def chunk_sizes(total: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
@@ -29,8 +49,8 @@ def chunk_sizes(total: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
 
 def run_chunked(worker_fn, args_list, workers=None):
     """Apply worker_fn to each args tuple; results returned in input order."""
-    nworkers = resolve_workers(workers)
-    if nworkers <= 1 or len(args_list) <= 1:
+    nworkers = pool_size(workers, len(args_list))
+    if nworkers <= 1:
         return [worker_fn(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
         return list(pool.map(worker_fn, args_list))

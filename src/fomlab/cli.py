@@ -19,6 +19,7 @@ import numpy as np
 
 from . import charging as charging_mod
 from . import hardness as hardness_mod
+from ._parallel import resolve_workers
 from .dual import verify_feasibility
 from .engine import run_greedy, run_ranking, sample_ranks
 from .errors import FomlabError, InvariantViolated
@@ -75,12 +76,20 @@ def write_report(report: dict, fmt: str, out) -> None:
         writer.writerow([_csv_cell(v) for v in flat.values()])
 
 
-def _emit(report: dict, fmt: str, out_path) -> None:
+def _write_out(out_path, write) -> None:
+    """Call write(stream) on stdout, or on the file out_path."""
     if out_path is None:
-        write_report(report, fmt, sys.stdout)
-    else:
+        write(sys.stdout)
+        return
+    try:
         with open(out_path, "w") as fp:
-            write_report(report, fmt, fp)
+            write(fp)
+    except OSError as exc:
+        raise _fail_usage(f"cannot write {out_path}: {exc}") from exc
+
+
+def _emit(report: dict, fmt: str, out_path) -> None:
+    _write_out(out_path, lambda fp: write_report(report, fmt, fp))
 
 
 def _load(path):
@@ -148,11 +157,7 @@ def generate(family, n, p, k, h, seed, bipartite, out):
         )
     else:
         inst = hardness_mod.gen_ranking_hard(hardness_mod.LayeredParams(k=k, h=h))
-    if out is None:
-        save_instance(inst, sys.stdout)
-    else:
-        with open(out, "w") as fp:
-            save_instance(inst, fp)
+    _write_out(out, lambda fp: save_instance(inst, fp))
 
 
 @main.command()
@@ -213,6 +218,7 @@ def ratio(instance_path, family, k, h, alg, trials, seed, workers, fmt, out):
     """Monte Carlo competitive-ratio estimate against the offline optimum."""
     if (instance_path is None) == (family is None):
         raise _fail_usage("provide exactly one of --instance or --family")
+    workers = resolve_workers(workers)
     if instance_path is not None:
         source = _load(instance_path)
         desc = {"instance": instance_path}
@@ -268,6 +274,7 @@ def verify_duals(
     instance_path, charging_name, target, trials, seed, workers, fmt, out
 ):
     """Monte Carlo dual-feasibility check; exit 1 when an edge fails."""
+    workers = resolve_workers(workers)
     inst = _load(instance_path)
     ch = charging_mod.by_name(charging_name)
     report = verify_feasibility(inst, ch, target, trials, seed, workers=workers)

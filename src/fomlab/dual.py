@@ -3,10 +3,11 @@ empirical verification of the two dual-feasibility conditions.
 
 Per-run duals follow the two-step rule literally: gain sharing on matched
 edges, then a compensation h(y_passive_partner) from every active vertex
-that has a victim.  Victims are identified post hoc via counterfactual runs
-with the active vertex removed.  The batch path replays only the rows where
-the removed vertex could have a victim, starting at its own deadline from
-the base run's state there; `find_victim` keeps the full replay.
+that has a victim.  A victim is defined by a counterfactual run with the
+active vertex removed; `find_victim` runs it in full.  The batch path runs
+no counterfactual at all: removing an active vertex changes Ranking's run
+along one alternating path, and the victim is where that path ends, so it
+follows each path through the base run's arrays.
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import CHUNK_SIZE, chunk_sizes, run_chunked
+from ._parallel import chunk_sizes, run_chunked
 from .charging import ChargingFunction, check_properties
 from .engine import (
     MatchingOutcome,
     RankAssignment,
     Role,
     Side,
-    rank_positions,
-    resume_ranking_batch,
     run_ranking,
     run_ranking_batch,
     run_without,
@@ -170,41 +169,103 @@ def simulate_alphas_batch(
         alpha[sel, v] += 1.0 - gp
         alpha[rows[sel], p] += gp
 
-    # compensations: w's victim is a neighbor left unmatched with w present
-    # and matched once w is removed.  Only rows where w is active and has an
-    # unmatched neighbor can hold one.  The run without w agrees with the
-    # base run until w's own deadline (Ranking is lazy and never picked w
-    # before it), so each replay starts there, from the base pairs whose
-    # active endpoint's deadline came earlier.
-    K, V = rank_positions(ranks_matrix)
+    # compensations: w's victim is a neighbour left unmatched with w present
+    # and matched once w is removed.  Only columns (w, row) where w is active
+    # and has an unmatched neighbour can hold one.  The run without w agrees
+    # with the base run until w's deadline (Ranking is lazy and never picked
+    # w before it); from there the two runs differ in exactly one vertex d
+    # at a time, along an alternating path.  d is "extra-free" (matched in
+    # the base run, free without w) or "extra-matched" (the reverse) and
+    # starts as w's partner, extra-free.  Every column follows its d through
+    # the later deadlines in one lock-step sweep; w's victim is the final d
+    # when it is extra-matched and adjacent to w.
+    order = instance.deadline_order
     partner_vm, active_vm = partner.T, active.T  # vertex-major (n x trials)
     step = np.empty(n, dtype=np.int32)
-    step[list(instance.deadline_order)] = np.arange(n, dtype=np.int32)
-    # step at which each vertex's pair formed, n if it stays unmatched
+    step[list(order)] = np.arange(n, dtype=np.int32)
+    unmatched = partner_vm < 0
+    # step at which each vertex's pair formed, n if it stays unmatched: v is
+    # free in the base run just before step s where formed[v] >= s
     formed = np.where(active_vm, step[:, None], step[partner_vm])
-    formed[partner_vm < 0] = n
+    formed[unmatched] = n
+    # columns (w, row), sorted by w's deadline step and then by row; those
+    # live at step s (w's deadline came earlier) are the first live[s]
+    cands = [
+        np.flatnonzero(active_vm[w] & unmatched[instance.neighbors(w)].any(axis=0))
+        for w in order
+    ]
+    live = np.cumsum([0] + [len(c) for c in cands])
+    if not live[-1]:  # no column, no victim
+        return alpha, active.sum(axis=1)
+    col_row = np.concatenate(cands)
+    d = np.concatenate([partner_vm[w, c] for w, c in zip(order, cands)]).astype(np.intp)
+    extra_free = np.ones(len(d), dtype=bool)
+    near_v = np.zeros(n, dtype=bool)
+    for s in range(n):
+        v = order[s]
+        nbrs = instance.neighbors(v)
+        k = live[s]
+        if not k or not len(nbrs):
+            continue
+        # at v's deadline a column changes only if d is v, if d is
+        # extra-free next to a v that is free in the base run, or if d is
+        # extra-matched and was v's base choice: always d in {v} + N(v)
+        near_v[nbrs] = True
+        near_v[v] = True
+        cols = np.flatnonzero(near_v[d[:k]])
+        near_v[nbrs] = False
+        near_v[v] = False
+        if not len(cols):
+            continue
+        dc, fc, rc = d[cols], extra_free[cols], col_row[cols]
+        at_v = dc == v
+        # v's base choice, -1 if v is matched before s or finds no partner
+        choice = np.where(active_vm[v, rc], partner_vm[v, rc], -1)
+        # an extra-free d offered to a v that is free in the base run
+        offer = fc & ~at_v & (formed[v, rc] >= s)
+        # an extra-matched d that v took in the base run
+        taken = ~fc & (choice == dc)
+        # v chooses among the neighbours the base run leaves free after step
+        # s: v is d with d extra-free (v took nobody in the base run), or
+        # v's base choice d is taken already
+        pick = (at_v & fc) | taken
+        if pick.any():
+            pc, pr = cols[pick], rc[pick]
+            open_nbr = (formed[nbrs][:, pr] > s).T
+            masked = np.where(open_nbr, ranks_matrix[pr[:, None], nbrs], np.inf)
+            j = masked.argmin(axis=1)  # ties to the lowest id: nbrs ascend
+            found = open_nbr[np.arange(len(pr)), j]
+            # v's new partner is extra-matched; if there is none, d = v
+            # stays extra-free, or the v that lost d is free without w
+            d[pc] = np.where(found, nbrs[j], v)
+            extra_free[pc] = ~found
+        # an extra-matched d = v: its base choice stays free without w
+        move = at_v & ~fc & (choice >= 0)
+        d[cols[move]] = choice[move]
+        extra_free[cols[move]] = True
+        if offer.any():
+            oc, orow, ob, od = cols[offer], rc[offer], choice[offer], dc[offer]
+            r_d, r_b = ranks_matrix[orow, od], ranks_matrix[orow, ob]
+            # without w, v takes d over its base choice b (or over nothing),
+            # which leaves b extra-free, or makes v extra-matched
+            wins = (ob < 0) | (r_d < r_b) | ((r_d == r_b) & (od < ob))
+            d[oc[wins]] = np.where(ob >= 0, ob, v)[wins]
+            extra_free[oc[wins]] = ob[wins] >= 0
+
+    # by vertex id, so that each entry adds up its compensations in the
+    # order a replay per vertex would
     for w in range(n):
+        lo, hi = live[step[w]], live[step[w] + 1]
+        if lo == hi:
+            continue
         nbrs = instance.neighbors(w)
-        if not len(nbrs):
-            continue
-        free = partner[:, nbrs] < 0
-        cand = np.flatnonzero(active[:, w] & free.any(axis=1))
-        if not len(cand):
-            continue
-        t = int(step[w])
-        early = formed[:, cand] < t
-        K_wo = np.where(early, n, K[:, cand])
-        K_wo[w] = n
-        partner_wo = np.where(early, partner_vm[:, cand], -1)
-        active_wo = active_vm[:, cand] & early
-        resume_ranking_batch(instance, K_wo, V[:, cand], partner_wo, active_wo, t)
-        hit = free[cand] & (partner_wo[nbrs].T >= 0)
+        hit = ~extra_free[lo:hi, None] & (nbrs == d[lo:hi, None])
         if hit.sum(axis=1).max() > 1:
             raise InvariantViolated(f"multiple victims for vertex {w}")
         has_victim = hit.any(axis=1)
         if not has_victim.any():
             continue
-        vrows = cand[has_victim]
+        vrows = col_row[lo:hi][has_victim]
         victim = nbrs[hit[has_victim].argmax(axis=1)]
         p = partner[vrows, w]
         amount = charging.h_limit_grid(ranks_matrix[vrows, p])

@@ -16,11 +16,23 @@ import numpy as np
 
 from ._parallel import chunk_sizes, run_chunked
 from .engine import run_greedy, run_ranking, run_ranking_batch, sample_ranks
-from .errors import InvariantViolated, ParamsInvalid
+from .errors import InvariantViolated, ParamsInvalid, TooLarge
 from .instance import A, D, Event, Instance, build_instance
 from .oracle import max_matching_bipartite, max_matching_general
 
 RECURRENCE_TOL = 1e-12
+
+
+MAX_EDGES = 1 << 24
+"""Edge budget of the generated hardness instances, about 34 times the
+layered k=100, h=50 instance (495,000 edges)."""
+
+
+def _too_large(family: str, params) -> TooLarge:
+    return TooLarge(
+        f"{family} k={params.k}, h={params.h} has more edges than the budget "
+        f"of {MAX_EDGES}"
+    )
 
 
 @dataclass(frozen=True)
@@ -32,10 +44,25 @@ class AdversaryTreeParams:
     def __post_init__(self):
         if self.k < 1 or self.h < 1:
             raise ParamsInvalid(f"need k >= 1 and h >= 1, got k={self.k}, h={self.h}")
+        # the k^h leaves alone bring k^h (k^h + 1) / 2 B-phase edges; from
+        # 2^32 leaves on, that is over 2^63 and not worth evaluating
+        huge = self.k > 1 and self.h * (int(self.k).bit_length() - 1) >= 32
+        if huge or self.edge_count > MAX_EDGES:
+            raise _too_large("adversary tree", self)
 
     @property
     def side_size(self) -> int:
-        return sum(self.k**i for i in range(self.h + 1))
+        """1 + k + ... + k^h, half the vertex count."""
+        if self.k == 1:
+            return self.h + 1
+        return (self.k ** (self.h + 1) - 1) // (self.k - 1)
+
+    @property
+    def edge_count(self) -> int:
+        """k + 1 tree edges per internal vertex, then the B-phase triangle
+        over the k^h leaves."""
+        leaves = self.k**self.h
+        return (self.k + 1) * (self.side_size - leaves) + leaves * (leaves + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -46,10 +73,17 @@ class LayeredParams:
     def __post_init__(self):
         if self.k < 1 or self.h < 1:
             raise ParamsInvalid(f"need k >= 1 and h >= 1, got k={self.k}, h={self.h}")
+        if self.edge_count > MAX_EDGES:
+            raise _too_large("layered instance", self)
 
     @property
     def side_size(self) -> int:
         return self.k * self.h
+
+    @property
+    def edge_count(self) -> int:
+        """One pendant per group vertex, k^2 edges between consecutive groups."""
+        return self.side_size + self.k * self.k * (self.h - 1)
 
 
 def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:

@@ -339,6 +339,72 @@ def test_negative_seed_exits_2(instance_file):
         assert "Traceback" not in res.stderr
 
 
+def _every_command_with_out(instance_file):
+    return [
+        ["generate", "random", "--n", "4"],
+        ["generate", "adversary-tree", "--k", "2", "--h", "2"],
+        ["run", "--instance", str(instance_file)],
+        ["ratio", "--instance", str(instance_file), "--trials", "2", "--workers", "1"],
+        ["verify-duals", "--instance", str(instance_file), "--target", "0.5",
+         "--trials", "10", "--workers", "1"],
+        ["check-charging", "--grid", "0.1"],
+        ["hardness", "omega"],
+        ["opt", "--instance", str(instance_file)],
+    ]
+
+
+def test_unwritable_out_exits_2(instance_file, tmp_path):
+    missing = tmp_path / "missing" / "report.json"
+    for args in _every_command_with_out(instance_file):
+        code, stdout, stderr = _in_process([*args, "--out", str(missing)])
+        assert code == 2, (args, stderr)
+        assert "cannot write" in stderr, (args, stderr)
+        assert stdout == ""
+        # a folder is refused by the option itself
+        code, stdout, stderr = _in_process([*args, "--out", str(tmp_path)])
+        assert code == 2, (args, stderr)
+        assert stdout == ""
+    assert not missing.parent.exists()
+
+
+def test_out_writes_the_report(instance_file, tmp_path):
+    for i, args in enumerate(_every_command_with_out(instance_file)):
+        code, stdout, _ = _in_process(args)
+        out = tmp_path / f"report-{i}.json"
+        assert _in_process([*args, "--out", str(out)]) == (code, "", "")
+        assert out.read_text() == stdout
+
+
+@pytest.mark.parametrize("value", ["abc", "99999999999", "1.5", "4097"])
+def test_bad_worker_count_exits_2(instance_file, value):
+    for args in (
+        ["verify-duals", "--instance", str(instance_file), "--target", "0.5",
+         "--trials", "10"],
+        ["ratio", "--family", "adversary-tree", "--trials", "2"],
+    ):
+        res = run_cli(*args, env_extra={"FOMLAB_THREADS": value})
+        assert res.returncode == 2, (args, res.stderr)
+        assert "Traceback" not in res.stderr
+        assert "worker count" in res.stderr
+        assert res.stdout == ""
+    res = run_cli(
+        "verify-duals", "--instance", str(instance_file), "--target", "0.5",
+        "--trials", "10", "--workers", "99999999999",
+    )
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("family", ["adversary-tree", "ranking-hard"])
+def test_generator_above_edge_budget_exits_2(family):
+    start = time.perf_counter()
+    res = run_cli("generate", family, "--k", "1000", "--h", "1000")
+    assert time.perf_counter() - start < 10
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "budget" in res.stderr
+    assert res.stdout == ""
+
+
 def _in_process(argv):
     """Run the CLI entry point in this process: (exit code, stdout, stderr)."""
     from fomlab import cli
@@ -588,23 +654,28 @@ def _holds_odd_id(text):
 
 
 _INSTANCE = "@instance"
+_REPORT = "@report"  # a writable --out path
+_NOWHERE = "@nowhere"  # an --out path in a folder that does not exist
+_OUT = [[], ["--out", _REPORT], ["--out", _NOWHERE]]
 _ALG = [[], ["--alg", "ranking"], ["--alg", "greedy"]]
 _COMMANDS = st.one_of(
     _command(["generate"], ["--p", "--k", "--h", "--seed"],
-             [[["random"], ["one-sided"], ["adversary-tree"], ["ranking-hard"]]]),
+             [[["random"], ["one-sided"], ["adversary-tree"], ["ranking-hard"]], _OUT]),
     _command(["run", "--instance", _INSTANCE], ["--seed"],
-             [_ALG, [[], ["--trace"]]]),
+             [_ALG, [[], ["--trace"]], _OUT]),
     _command(["ratio", "--workers", "1"], ["--k", "--h", "--trials", "--seed"],
              [[["--instance", _INSTANCE], ["--family", "adversary-tree"],
-               ["--family", "ranking-hard"], []], _ALG]),
+               ["--family", "ranking-hard"], []], _ALG, _OUT]),
     _command(["verify-duals", "--instance", _INSTANCE, "--workers", "1"],
              ["--target", "--trials", "--seed"],
              [[[], ["--charging", "exp"], ["--charging", "piecewise"],
-               ["--charging", "capped"]]]),
+               ["--charging", "capped"]], _OUT]),
     _command(["check-charging"], ["--grid"],
-             [[[], ["--kind", "exp"], ["--kind", "piecewise"], ["--kind", "capped"]]]),
-    _command(["hardness"], ["--k", "--h"], [[["adversary"], ["layered"], ["omega"]]]),
-    st.just(["opt", "--instance", _INSTANCE]),
+             [[[], ["--kind", "exp"], ["--kind", "piecewise"], ["--kind", "capped"]],
+              _OUT]),
+    _command(["hardness"], ["--k", "--h"],
+             [[["adversary"], ["layered"], ["omega"]], _OUT]),
+    _command(["opt", "--instance", _INSTANCE], [], [_OUT]),
 )
 
 
@@ -629,6 +700,8 @@ def _case(argv, mutations=()):
 @_case(["opt", "--instance", _INSTANCE], [("endpoint", 1, 0, 2**64)])
 @_case(["run", "--instance", _INSTANCE], [("event", 2, "v", True)])
 @_case(["opt", "--instance", _INSTANCE], [("set", "n", 4.0)])
+@_case(["generate", "random", "--out", _NOWHERE])
+@_case(["check-charging", "--kind", "capped", "--out", _REPORT])
 @given(
     argv=_COMMANDS,
     bipartite=st.booleans(),
@@ -646,12 +719,22 @@ def test_cli_exit_codes_under_garbled_input(
     text = _garble(base, mutations, cut) if garbled else json.dumps(base)
     path.write_text(text)
     reads_instance = _INSTANCE in argv
-    argv = [str(path) if a == _INSTANCE else a for a in argv]
+    report_path = fuzz_dir / "report.json"
+    report_path.unlink(missing_ok=True)
+    places = {_INSTANCE: path, _REPORT: report_path,
+              _NOWHERE: fuzz_dir / "missing" / "report.json"}
+    nowhere = _NOWHERE in argv
+    argv = [str(places.get(a, a)) for a in argv]
     code, out, err = _in_process(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err
     if reads_instance and _holds_odd_id(text):
         assert code == 2, (argv, text, out)
+    if nowhere:
+        assert code == 2 and not out, (argv, code, err)
+    if report_path.exists():
+        assert not out
+        out = report_path.read_text()
     if out:
         # every report is strict JSON: no NaN or Infinity
         json.loads(out, parse_constant=_reject_constant)

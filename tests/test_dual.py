@@ -262,6 +262,74 @@ def test_batch_alphas_match_full_replay_n160():
     inst = random_instance(160, 0.025, False, 7)
     matrix = np.random.default_rng(23).random((256, inst.n))
     assert _assert_matches_full_replay(inst, PIECEWISE, matrix) > 0
+    inst = random_instance(160, 0.025, True, 8)
+    _assert_matches_full_replay(inst, EXPONENTIAL, matrix)
+
+
+def test_batch_alphas_match_full_replay_with_tied_ranks(small_instances):
+    # ranks on a coarse grid tie often; ties go to the smaller vertex id
+    rng = np.random.default_rng(25)
+    paid = 0
+    for i, inst in enumerate(small_instances):
+        matrix = np.round(rng.random((200, inst.n)), 1)
+        paid += _assert_matches_full_replay(inst, PIECEWISE, matrix)
+    for i in range(12):
+        n = int(rng.integers(2, 30))
+        inst = random_instance(n, float(rng.uniform(0.1, 0.8)), bool(i % 2), 400 + i)
+        matrix = rng.integers(0, 4, (150, n)) / 4.0
+        paid += _assert_matches_full_replay(inst, PIECEWISE, matrix)
+    assert paid > 0
+
+
+def test_batch_alphas_match_full_replay_one_row():
+    rng = np.random.default_rng(26)
+    for i in range(40):
+        n = int(rng.integers(2, 25))
+        inst = random_instance(n, float(rng.uniform(0.1, 0.8)), bool(i % 2), 500 + i)
+        _assert_matches_full_replay(inst, PIECEWISE, rng.random((1, n)))
+
+
+def test_batch_alphas_partner_without_later_neighbour():
+    # w = 0 takes 1 or 2 first and the other stays free; either partner's
+    # only neighbour is w, so the path without w ends where it starts
+    events = [A(0), A(1), A(2), D(0), D(1), D(2)]
+    inst = build_instance(3, events, [(0, 1), (0, 2)])
+    matrix = np.random.default_rng(27).random((300, 5))
+    assert _assert_matches_full_replay(inst, PIECEWISE, matrix[:, :3]) == 0
+    # partner 1's other neighbour, 2, has its deadline before w's
+    events = [A(v) for v in range(5)] + [D(2), D(0), D(1), D(3), D(4)]
+    inst = build_instance(5, events, [(0, 1), (0, 4), (1, 2), (2, 3)])
+    assert _assert_matches_full_replay(inst, PIECEWISE, matrix) == 0
+
+
+def test_batch_alphas_without_edges():
+    for n in (3, 0):
+        inst = build_instance(n, [A(v) for v in range(n)] + [D(v) for v in range(n)], [])
+        matrix = np.random.default_rng(28).random((50, n))
+        alpha, msize = simulate_alphas_batch(inst, PIECEWISE, matrix)
+        assert alpha.shape == (50, n)
+        assert not alpha.any() and not msize.any()
+        _assert_matches_full_replay(inst, PIECEWISE, matrix)
+    assert verify_feasibility(inst, PIECEWISE, 0.5, 10, 0).passed
+
+
+def test_victims_come_from_one_base_run_per_chunk(monkeypatch):
+    """The victims follow each alternating path through the base run's
+    arrays: one batch run per chunk and no counterfactual replay."""
+    import fomlab.dual as dual_mod
+
+    assert "rank_positions" not in vars(dual_mod)
+    assert "resume_ranking_batch" not in vars(dual_mod)
+    calls = []
+    real = dual_mod.run_ranking_batch
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("removed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dual_mod, "run_ranking_batch", counting)
+    verify_feasibility(cycle(5), PIECEWISE, 0.5211, 2 * 4096 + 7, 4, workers=1)
+    assert calls == [None, None, None]
 
 
 def test_batch_alphas_reject_nonfinite_ranks():

@@ -1,11 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from conftest import single_edge
-from fomlab.errors import ParamsInvalid
+from fomlab.errors import ParamsInvalid, TooLarge
 from fomlab.hardness import (
+    MAX_EDGES,
     AdversaryTreeParams,
     LayeredParams,
     adversary_p_sequence,
@@ -32,6 +34,36 @@ def test_params_validation():
         LayeredParams(k=2, h=0)
     with pytest.raises(ParamsInvalid):
         adversary_ratio(1, 3)
+
+
+def test_closed_form_sizes_match_the_generators():
+    for k in range(1, 5):
+        for h in range(1, 4):
+            params = AdversaryTreeParams(k=k, h=h, seed=k + h)
+            inst = gen_adversary_tree(params)
+            assert (inst.n, inst.m) == (2 * params.side_size, params.edge_count)
+            layered = LayeredParams(k=k, h=h)
+            inst = gen_ranking_hard(layered)
+            assert (inst.n, inst.m) == (2 * layered.side_size, layered.edge_count)
+
+
+def test_generator_edge_budget():
+    # the largest instances the tests and the benchmark build stay inside it
+    assert AdversaryTreeParams(k=7, h=3, seed=0).edge_count <= MAX_EDGES
+    assert LayeredParams(k=100, h=50).edge_count == 495_000
+    assert LayeredParams(k=100, h=50).edge_count * 33 < MAX_EDGES
+    # 2h - 1 edges at k = 1
+    assert LayeredParams(k=1, h=2**23).edge_count == MAX_EDGES - 1
+    with pytest.raises(TooLarge):
+        LayeredParams(k=1, h=2**23 + 1)
+    start = time.perf_counter()
+    for k, h in [(1000, 1000), (7, 8), (2, 31), (2, 32), (1, 10**12), (10**30, 1)]:
+        with pytest.raises(TooLarge):
+            AdversaryTreeParams(k=k, h=h, seed=0)
+    for k, h in [(4000, 4000), (1, 10**8), (10**6, 10**6)]:
+        with pytest.raises(TooLarge):
+            LayeredParams(k=k, h=h)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_adversary_tree_smallest():

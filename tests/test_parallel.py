@@ -1,0 +1,76 @@
+"""Worker-count parsing and pool sizing.  No test here starts a pool: the
+executor is replaced by a recorder wherever run_chunked would start one."""
+
+import pytest
+
+import fomlab._parallel as par
+from fomlab._parallel import MAX_WORKERS, pool_size, resolve_workers, run_chunked
+from fomlab.errors import ParamsInvalid
+
+
+def test_resolve_workers_clamps_and_rejects(monkeypatch):
+    monkeypatch.delenv("FOMLAB_THREADS", raising=False)
+    assert resolve_workers(3) == 3
+    assert resolve_workers(0) == 1
+    assert resolve_workers(-7) == 1
+    assert resolve_workers(MAX_WORKERS) == MAX_WORKERS
+    for bad in (MAX_WORKERS + 1, 99999999999, 10**30, "abc", "", "2.5"):
+        with pytest.raises(ParamsInvalid):
+            resolve_workers(bad)
+
+
+def test_resolve_workers_reads_the_environment(monkeypatch):
+    for value, expected in (("2", 2), ("0", 1), ("-3", 1), (str(MAX_WORKERS), MAX_WORKERS)):
+        monkeypatch.setenv("FOMLAB_THREADS", value)
+        assert resolve_workers() == expected
+    for bad in ("abc", "1.5", "99999999999", str(MAX_WORKERS + 1)):
+        monkeypatch.setenv("FOMLAB_THREADS", bad)
+        with pytest.raises(ParamsInvalid):
+            resolve_workers()
+    # an explicit count wins over the environment
+    assert resolve_workers(2) == 2
+
+
+def test_resolve_workers_caps_the_cpu_count(monkeypatch):
+    monkeypatch.delenv("FOMLAB_THREADS", raising=False)
+    monkeypatch.setattr(par.os, "cpu_count", lambda: 100_000)
+    assert resolve_workers() == MAX_WORKERS
+    monkeypatch.setattr(par.os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
+
+
+def test_pool_size_is_at_most_one_process_per_chunk(monkeypatch):
+    assert pool_size(MAX_WORKERS, 3) == 3
+    assert pool_size(2, 5) == 2
+    assert pool_size(1, 0) == 0
+    monkeypatch.setenv("FOMLAB_THREADS", "64")
+    assert pool_size(None, 2) == 2
+    with pytest.raises(ParamsInvalid):
+        pool_size(MAX_WORKERS + 1, 1)
+
+
+class _RecordingPool:
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_run_chunked_sizes_its_pool_by_the_chunk_count(monkeypatch):
+    monkeypatch.setattr(par, "ProcessPoolExecutor", _RecordingPool)
+    _RecordingPool.sizes = []
+    assert run_chunked(abs, [-1, -2, -3], workers=MAX_WORKERS) == [1, 2, 3]
+    assert run_chunked(abs, [-4], workers=MAX_WORKERS) == [4]
+    assert run_chunked(abs, [-1, -2], workers=1) == [1, 2]
+    assert _RecordingPool.sizes == [3]
+    with pytest.raises(ParamsInvalid):
+        run_chunked(abs, [-1], workers="many")
