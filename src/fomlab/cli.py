@@ -23,12 +23,7 @@ from ._parallel import resolve_workers
 from .dual import verify_feasibility
 from .engine import run_greedy, run_ranking, sample_ranks
 from .errors import FomlabError, InvariantViolated
-from .instance import (
-    from_one_sided,
-    load_instance,
-    random_instance,
-    save_instance,
-)
+from .instance import load_instance, random_instance, random_one_sided, save_instance
 from .oracle import max_matching_bipartite, max_matching_general
 
 EXIT_VERIFICATION_FAILED = 1
@@ -146,11 +141,7 @@ def generate(family, n, p, k, h, seed, bipartite, out):
     if family == "random":
         inst = random_instance(n, p, bipartite, seed)
     elif family == "one-sided":
-        rng = np.random.default_rng(seed)
-        adjacency = [
-            [off for off in range(n) if rng.random() < p] for _ in range(n)
-        ]
-        inst = from_one_sided(n, adjacency)
+        inst = random_one_sided(n, p, seed)
     elif family == "adversary-tree":
         inst = hardness_mod.gen_adversary_tree(
             hardness_mod.AdversaryTreeParams(k=k, h=h, seed=seed)

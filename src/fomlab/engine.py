@@ -7,8 +7,7 @@ passive.  `run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
 scalar engine in the test suite.  It works on integer rank positions
 (`rank_positions`), vertex-major, so that each deadline is one contiguous
-gather of its neighbours' positions and one min.  `resume_ranking_batch`
-is its loop, which can also continue a batch from a mid-stream state.
+gather of its neighbours' positions and one min.
 """
 
 from __future__ import annotations
@@ -212,28 +211,8 @@ def run_ranking_batch(
         K[removed] = n
     partner = np.full((n, trials), -1, dtype=np.int32)
     active = np.zeros((n, trials), dtype=bool)
-    resume_ranking_batch(instance, K, V, partner, active, 0)
-    return partner.T, active.T
-
-
-def resume_ranking_batch(
-    instance: Instance,
-    K: np.ndarray,
-    V: np.ndarray,
-    partner: np.ndarray,
-    active: np.ndarray,
-    start: int,
-) -> None:
-    """Run the deadlines deadline_order[start:] on every column, updating
-    K, partner and active (all n x trials) in place.
-
-    K and V come from `rank_positions`, with K[v] set to n wherever v is
-    already matched or removed; the caller supplies the state Ranking had
-    just before step `start`.  `run_ranking_batch` is this loop started
-    from the empty matching.
-    """
-    n = len(K)
-    for v in instance.deadline_order[start:]:
+    # K[v] = n marks v matched or removed
+    for v in instance.deadline_order:
         nbrs = instance.neighbors(v)
         if not len(nbrs):
             continue
@@ -246,3 +225,4 @@ def resume_ranking_batch(
         active[v, rows] = True
         K[v, rows] = n
         K[chosen, rows] = n
+    return partner.T, active.T

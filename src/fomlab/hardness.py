@@ -15,7 +15,9 @@ from typing import Callable, Union
 import numpy as np
 
 from ._parallel import chunk_sizes, run_chunked
-from .engine import run_greedy, run_ranking, run_ranking_batch, sample_ranks
+# `run_ranking` is not called here; the benchmark's tracer rebinds it in this
+# module, and tests/test_tracing_contract.py checks that the name exists
+from .engine import run_ranking, run_ranking_batch  # noqa: F401
 from .errors import InvariantViolated, ParamsInvalid, TooLarge
 from .instance import A, D, Event, Instance, build_instance
 from .oracle import max_matching_bipartite, max_matching_general
@@ -26,6 +28,9 @@ RECURRENCE_TOL = 1e-12
 MAX_EDGES = 1 << 24
 """Edge budget of the generated hardness instances, about 34 times the
 layered k=100, h=50 instance (495,000 edges)."""
+
+MAX_LEAVES = 1 << 23
+"""Leaf budget of `adversary_ratio`, whose harmonic sum takes a step per leaf."""
 
 
 def _too_large(family: str, params) -> TooLarge:
@@ -205,6 +210,10 @@ def adversary_ratio(k: int, h: int) -> AdversaryPrediction:
     """
     if k < 2 or h < 1:
         raise ParamsInvalid(f"need k >= 2 and h >= 1, got k={k}, h={h}")
+    # exact: log2 of a power of two is exact, and any other k^h is at least
+    # 1 away from MAX_LEAVES, far beyond the rounding error
+    if h * math.log2(k) > math.log2(MAX_LEAVES):
+        raise TooLarge(f"adversary tree k={k}, h={h}: over {MAX_LEAVES} leaves")
     ps = adversary_p_sequence(k, h)
     p_h = ps[h]
     m = k**h
@@ -296,19 +305,20 @@ def _opt_size(instance: Instance) -> int:
     return max_matching_general(instance).size
 
 
-def _ranking_sizes_chunk(args):
-    instance, seed, chunk_id, size = args
-    rng = np.random.default_rng([seed, chunk_id])
-    ranks = rng.random((size, instance.n))
+def _sizes_chunk(args):
+    """Ranking's sizes on `rows` uniform rank rows from default_rng(key), or
+    with key None, its size on the arrival positions (Greedy) `rows` times."""
+    instance, key, rows = args
+    if key is None:
+        ranks = np.asarray(instance.arrival_pos, dtype=float)[None]
+    else:
+        ranks = np.random.default_rng(key).random((rows, instance.n))
     _, active = run_ranking_batch(instance, ranks)
-    return active.sum(axis=1)
-
-
-InstanceSource = Union[Instance, Callable[[int], Instance]]
+    return np.resize(active.sum(axis=1), rows)
 
 
 def empirical_ratio(
-    source: InstanceSource,
+    source: Union[Instance, Callable[[int], Instance]],
     algorithm: str,
     trials: int,
     seed: int,
@@ -318,43 +328,33 @@ def empirical_ratio(
 
     `source` is either a fixed Instance (ranks vary per trial) or a callable
     mapping a trial index to a fresh Instance (e.g. the random adversary
-    tree).  OPT is computed once per distinct instance.
+    tree).  Each distinct instance gets its OPT once and one batch call per
+    block of rows.  A fixed instance's blocks are keyed [seed, block id] and
+    spread over `workers`; trial t of a callable source is one row keyed
+    [seed, t, 1], run here (numpy drops a trailing 0, so a tag 0 would
+    repeat the CLI's tree key [seed, t]).  Greedy runs one row per instance.
     """
     if trials < 1:
         raise ParamsInvalid(f"need trials >= 1, got {trials}")
     if algorithm not in ("ranking", "greedy"):
         raise ParamsInvalid(f"unknown algorithm {algorithm!r}")
 
-    ratios: list[float] = []
-    if isinstance(source, Instance):
-        opt = _opt_size(source)
-        if opt == 0:
-            return 1.0, 0.0
+    fixed = isinstance(source, Instance)
+    ratios = []
+    for trial in range(1 if fixed else trials):
+        inst = source if fixed else source(trial)
+        opt = _opt_size(inst)
         if algorithm == "greedy":
-            r = run_greedy(source).size / opt
-            ratios = [r] * trials
+            args = [(inst, None, trials if fixed else 1)]
+        elif fixed:
+            blocks = chunk_sizes(trials, max(1, min(4096, 4_000_000 // max(1, inst.n))))
+            args = [(inst, [seed, cid], size) for cid, size in enumerate(blocks)]
         else:
-            max_rows = max(1, min(4096, 4_000_000 // max(1, source.n)))
-            sizes = chunk_sizes(trials, max_rows)
-            args = [
-                (source, seed, cid, size) for cid, size in enumerate(sizes)
-            ]
-            for msizes in run_chunked(_ranking_sizes_chunk, args, workers=workers):
-                ratios.extend(float(s) / opt for s in msizes)
-    else:
-        for trial in range(trials):
-            inst = source(trial)
-            opt = _opt_size(inst)
-            if opt == 0:
-                ratios.append(1.0)
-                continue
-            if algorithm == "greedy":
-                out = run_greedy(inst)
-            else:
-                out = run_ranking(inst, sample_ranks(inst, int(seed) * 1_000_003 + trial))
-            ratios.append(out.size / opt)
+            args = [(inst, [seed, trial, 1], 1)]
+        sizes = np.concatenate(run_chunked(_sizes_chunk, args, workers=workers))
+        ratios.append(sizes / opt if opt else np.ones(len(sizes)))
 
-    arr = np.asarray(ratios)
+    arr = np.concatenate(ratios)
     mean = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
     return mean, stderr

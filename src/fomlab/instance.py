@@ -25,6 +25,7 @@ from .errors import (
     MalformedEvents,
     ParamsInvalid,
     SelfLoop,
+    TooLarge,
 )
 
 
@@ -278,8 +279,32 @@ def from_one_sided(
 
 
 PAIR_BLOCK = 1 << 18
-"""Candidate vertex pairs `random_instance` masks at a time (whole rows, at
+"""Candidate vertex pairs a random generator draws at a time (whole rows, at
 least one), which bounds its scratch memory."""
+
+MAX_PAIRS = 1 << 28
+"""Candidate-pair budget of the random generators, which draw one uniform each."""
+
+
+def _check_pairs(pairs: int, what: str) -> None:
+    if pairs > MAX_PAIRS:
+        raise TooLarge(
+            f"{what} has {pairs} candidate pairs, above the budget of {MAX_PAIRS}"
+        )
+
+
+def random_one_sided(n: int, edge_prob: float, seed: int) -> Instance:
+    """One-sided instance with n offline and n online vertices: each of the
+    n^2 pairs is an edge with probability edge_prob, drawing one uniform per
+    pair, online vertex by online vertex."""
+    _check_pairs(max(n, 0) ** 2, f"one-sided n={n}")
+    rng = np.random.default_rng(seed)
+    rows = max(1, PAIR_BLOCK // max(1, n))
+    adjacency: list[list[int]] = []
+    for start in range(0, n, rows):
+        hits = rng.random((min(rows, n - start), n)) < edge_prob
+        adjacency.extend(np.flatnonzero(row).tolist() for row in hits)
+    return from_one_sided(n, adjacency)
 
 
 def random_instance(
@@ -291,10 +316,12 @@ def random_instance(
     preceding its deadline; candidate edges are sampled independently with
     probability edge_prob and dropped when they violate the model guarantee.
     Candidates are all pairs u < v (only those crossing the bipartition for
-    bipartite instances), each drawing one uniform in lexicographic order.
+    bipartite instances), each drawing one uniform in lexicographic order;
+    more than MAX_PAIRS pairs u < v raise TooLarge.
     """
     if not 0.0 <= edge_prob <= 1.0:
         raise ParamsInvalid(f"edge_prob {edge_prob} outside [0, 1]")
+    _check_pairs(max(n, 0) * max(n - 1, 0) // 2, f"random n={n}")
     rng = np.random.default_rng(seed)
     slots = np.sort(rng.permutation(2 * n).reshape(n, 2), axis=1)
     apos, dpos = slots[:, 0], slots[:, 1]

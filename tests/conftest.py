@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import os
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from fomlab.engine import RankAssignment, Side, ranks_from_values
 from fomlab.instance import A, D, Instance, build_instance, random_instance
+
+# the CLI tests start `python -m fomlab.cli` in subprocesses, which import the
+# package from src/ the way pyproject's pythonpath lets this process do
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def triangle() -> Instance:

@@ -210,6 +210,9 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["generate", "ranking-hard", "--k", "3", "--h", "3"],
         ["run", "--instance", str(inst_path), "--seed", "3", "--trace"],
         ["ratio", "--instance", str(inst_path), "--trials", "100", "--seed", "2"],
+        ["ratio", "--instance", str(inst_path), "--alg", "greedy", "--trials", "30"],
+        ["ratio", "--family", "adversary-tree", "--k", "2", "--h", "2",
+         "--trials", "20", "--seed", "5"],
         ["verify-duals", "--instance", str(inst_path), "--charging", "exp",
          "--target", "0.5541", "--trials", "8192", "--seed", "4"],
         ["check-charging", "--kind", "piecewise", "--grid", "2e-3"],

@@ -405,6 +405,23 @@ def test_generator_above_edge_budget_exits_2(family):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["hardness", "adversary", "--k", "7", "--h", "30"],
+        ["generate", "random", "--n", "300000", "--p", "0.0001"],
+        ["generate", "one-sided", "--n", "30000"],
+    ],
+)
+def test_analysis_and_random_generators_above_budget_exit_2(args):
+    start = time.perf_counter()
+    res = run_cli(*args)
+    assert time.perf_counter() - start < 10
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 def _in_process(argv):
     """Run the CLI entry point in this process: (exit code, stdout, stderr)."""
     from fomlab import cli

@@ -15,7 +15,6 @@ from fomlab.engine import (
     Side,
     rank_positions,
     ranks_from_values,
-    resume_ranking_batch,
     run_greedy,
     run_ranking,
     run_ranking_batch,
@@ -296,27 +295,3 @@ def test_rank_positions_order_ties_by_vertex_id():
     assert V.T.tolist() == [[1, 3, 0, 2], [0, 3, 2, 1]]
     assert K.dtype == np.int16
 
-
-def test_resume_mid_stream_equals_full_run():
-    rng = np.random.default_rng(5)
-    layered = gen_ranking_hard(LayeredParams(k=10, h=6))
-    for inst in (random_instance(40, 0.15, False, 5), layered):
-        n = inst.n
-        matrix = _with_ties(rng.random((33, n)))
-        partner, active = run_ranking_batch(inst, matrix)
-        step = np.empty(n, dtype=np.int64)
-        step[list(inst.deadline_order)] = np.arange(n)
-        p_vm, a_vm = partner.T, active.T
-        # a pair forms at its active endpoint's deadline
-        formed = np.where(a_vm, step[:, None], step[np.maximum(p_vm, 0)])
-        formed[p_vm < 0] = n
-        cols = np.arange(0, 33, 2)
-        for start in (0, 1, n // 3, n // 2, n - 1, n):
-            K, V = rank_positions(matrix[cols])
-            early = formed[:, cols] < start
-            K[early] = n
-            p = np.where(early, p_vm[:, cols], -1)
-            a = a_vm[:, cols] & early
-            resume_ranking_batch(inst, K, V, p, a, start)
-            assert np.array_equal(p.T, partner[cols]), start
-            assert np.array_equal(a.T, active[cols]), start

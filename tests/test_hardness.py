@@ -6,8 +6,10 @@ import pytest
 
 from conftest import single_edge
 from fomlab.errors import ParamsInvalid, TooLarge
+from fomlab import hardness
 from fomlab.hardness import (
     MAX_EDGES,
+    MAX_LEAVES,
     AdversaryTreeParams,
     LayeredParams,
     adversary_p_sequence,
@@ -19,9 +21,9 @@ from fomlab.hardness import (
     omega_fixed_point,
     z_path,
 )
-from fomlab.instance import build_instance
-from fomlab.oracle import max_matching_bipartite
-from fomlab.engine import Role, run_ranking
+from fomlab.instance import build_instance, random_instance
+from fomlab.oracle import max_matching_bipartite, max_matching_general
+from fomlab.engine import Role, ranks_from_values, run_greedy, run_ranking
 from conftest import enumerate_rank_orders
 
 OMEGA = 0.567143290409784
@@ -112,6 +114,15 @@ def test_adversary_ratio_k7_asymptotic():
     closed = 62 / 63 - (6 / 7) * math.exp(-8 / 9)
     assert pred.ratio_asymptotic == pytest.approx(closed, abs=1e-12)
     assert pred.ratio_asymptotic == pytest.approx(0.631745, abs=1e-6)
+
+
+def test_adversary_ratio_leaf_budget():
+    start = time.perf_counter()
+    for k, h in [(7, 30), (2, 24), (8, 8), (2, 10**12), (10**30, 1)]:
+        with pytest.raises(TooLarge):
+            adversary_ratio(k, h)
+    assert time.perf_counter() - start < 1.0
+    assert 7**8 < MAX_LEAVES == 2**23
 
 
 def test_adversary_ratio_finite_approaches_asymptotic():
@@ -233,3 +244,92 @@ def test_adversary_tree_empirical_matches_prediction():
     mean, stderr = empirical_ratio(gen, "ranking", 100, 0)
     assert mean == pytest.approx(pred.ratio_finite, abs=max(4 * stderr, 0.01))
     assert mean <= 0.64 + 3 * stderr
+
+
+def _opt(inst):
+    if inst.is_bipartite():
+        return max_matching_bipartite(inst).size
+    return max_matching_general(inst).size
+
+
+def _tree_source(trial):
+    return gen_adversary_tree(AdversaryTreeParams(k=2, h=3, seed=40 + trial))
+
+
+def _recorded_rows(monkeypatch, source, trials, seed):
+    """The rank matrices `empirical_ratio` hands the batch kernel."""
+    seen = []
+    real = hardness.run_ranking_batch
+
+    def recording(inst, ranks, *args, **kwargs):
+        seen.append(np.array(ranks))
+        return real(inst, ranks, *args, **kwargs)
+
+    monkeypatch.setattr(hardness, "run_ranking_batch", recording)
+    empirical_ratio(source, "ranking", trials, seed)
+    return seen
+
+
+def test_per_trial_rank_rows_are_not_the_tree_streams(monkeypatch):
+    # the CLI seeds tree t from SeedSequence([seed, t]); trial t's ranks must
+    # come from a different stream
+    seed = 5
+    seen = _recorded_rows(monkeypatch, _tree_source, 4, seed)
+    assert [rows.shape[0] for rows in seen] == [1] * 4
+    for t, rows in enumerate(seen):
+        n = rows.shape[1]
+        ss = np.random.SeedSequence([seed, t])
+        tree_seed = int(ss.generate_state(1, np.uint64)[0])
+        for other in ([seed, t], tree_seed):
+            assert not np.array_equal(rows[0], np.random.default_rng(other).random(n))
+
+
+def test_per_trial_rank_tag_is_not_zero(monkeypatch):
+    # numpy drops trailing zeros of a key, so the tag 0 would give back the
+    # stream of [seed, t]
+    n = 20
+    zero = np.random.default_rng([3, 2, 0]).random(n)
+    assert np.array_equal(zero, np.random.default_rng([3, 2]).random(n))
+    seen = _recorded_rows(monkeypatch, _tree_source, 3, 3)
+    row = seen[2][0]
+    assert np.array_equal(row, np.random.default_rng([3, 2, 1]).random(len(row)))
+    assert not np.array_equal(row, np.random.default_rng([3, 2, 0]).random(len(row)))
+
+
+def _mean_stderr(ratios):
+    arr = np.asarray(ratios)
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(len(arr)))
+
+
+def test_greedy_matches_run_greedy():
+    for inst in (
+        gen_ranking_hard(LayeredParams(k=4, h=5)),
+        random_instance(30, 0.2, False, 1),
+        random_instance(30, 0.2, True, 2),
+    ):
+        # the one size counts once per trial; summing 12,345 equal ratios
+        # rounds, so the mean and stderr can miss r and 0 in the last digits
+        want = [run_greedy(inst).size / _opt(inst)] * 12_345
+        assert empirical_ratio(inst, "greedy", 12_345, 0) == _mean_stderr(want)
+    want = [run_greedy(_tree_source(t)).size / _opt(_tree_source(t)) for t in range(6)]
+    assert empirical_ratio(_tree_source, "greedy", 6, 9) == _mean_stderr(want)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda t: random_instance(25, 0.25, False, 70 + t),
+        lambda t: random_instance(25, 0.25, True, 80 + t),
+        _tree_source,
+    ],
+    ids=["general", "bipartite", "adversary-tree"],
+)
+def test_per_trial_ranking_matches_scalar_reference(source):
+    # trial t runs once on the documented ranks default_rng([seed, t, 1])
+    seed, trials = 11, 12
+    want = []
+    for t in range(trials):
+        inst = source(t)
+        ranks = np.random.default_rng([seed, t, 1]).random(inst.n)
+        want.append(run_ranking(inst, ranks_from_values(ranks)).size / _opt(inst))
+    assert empirical_ratio(source, "ranking", trials, seed) == _mean_stderr(want)

@@ -19,7 +19,16 @@ from fomlab.hardness import (
     gen_adversary_tree,
     gen_ranking_hard,
 )
-from fomlab.instance import A, D, build_instance, from_one_sided, random_instance
+from fomlab.errors import TooLarge
+from fomlab.instance import (
+    MAX_PAIRS,
+    A,
+    D,
+    build_instance,
+    from_one_sided,
+    random_instance,
+    random_one_sided,
+)
 from reference_instance import (
     reference_adversary_tree,
     reference_build,
@@ -69,6 +78,27 @@ def test_random_instance_spans_several_pair_blocks():
     for bipartite in (False, True):
         raw = reference_random(600, 0.02, bipartite, 11)
         _assert_matches_reference(random_instance(600, 0.02, bipartite, 11), raw)
+
+
+def test_random_one_sided_matches_scalar_draws():
+    # one uniform per (online, offline) pair in row-major order, as a scalar
+    # loop draws them; n = 600 spans two blocks of rows
+    for n, seeds in ((0, [0]), (1, [0]), (12, range(8)), (300, range(8)), (600, [3])):
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            adjacency = [[o for o in range(n) if rng.random() < 0.3] for _ in range(n)]
+            assert random_one_sided(n, 0.3, seed) == from_one_sided(n, adjacency)
+
+
+def test_random_generators_pair_budget():
+    # 23,170 vertices have just under 2^28 pairs u < v; 16,384^2 is 2^28
+    with pytest.raises(TooLarge):
+        random_instance(23_171, 0.0, False, 0)
+    with pytest.raises(TooLarge):
+        random_instance(23_171, 0.0, True, 0)
+    with pytest.raises(TooLarge):
+        random_one_sided(16_385, 0.0, 0)
+    assert 23_170 * 23_169 // 2 <= MAX_PAIRS == 16_384**2
 
 
 @pytest.mark.parametrize("k,h", [(1, 1), (1, 4), (3, 1), (3, 4), (6, 5)])
