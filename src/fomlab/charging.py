@@ -310,19 +310,16 @@ def psi2(
 
 
 def _f_general_matrix(
-    y: np.ndarray,
-    charging: ChargingFunction,
-    grid: BoundGrid,
-    *,
-    simplified: bool = False,
+    y: np.ndarray, charging: ChargingFunction, grid: BoundGrid
 ) -> np.ndarray:
     """Vectorized f(y_u) via the (theta, tau) decomposition.
 
     The tau minimization splits exactly into two candidates: tau = theta
     (constant compensation term plus g(y_u) share) and a suffix minimum of
-    tau*h(theta) + theta*phi(tau) over the tau grid.  The full form adds the
-    clamp (1 - theta)*phi(1-minus) on the compensation window; with the
-    stock piecewise constants the clamp is never active and both forms agree.
+    tau*h(theta) + theta*phi(tau) over the tau grid.  Both branches clamp
+    the compensation at phi(1-minus): (1 - theta)*phi(1-minus) on the
+    window, min(phi(1-minus), h) without one.  With the stock piecewise
+    constants h never exceeds phi(1-minus), and the clamp never binds.
     """
     xs = grid.axis()  # grid point at 1 means the 1-minus limit throughout
     n = len(xs)
@@ -342,12 +339,10 @@ def _f_general_matrix(
 
     # first branch: compensation window [theta, tau)
     inner_a = (xs * h_lim)[None, :] + xs[None, :] * gy_col  # tau = theta
-    inner = np.minimum(inner_a, qsuf[None, :])
-    if not simplified:
-        clamp = ((1.0 - xs) * phi_one)[None, :] + xs[None, :] * np.minimum(
-            gy_col, phi_one
-        )
-        inner = np.minimum(inner, clamp)
+    clamp = ((1.0 - xs) * phi_one)[None, :] + xs[None, :] * np.minimum(
+        gy_col, phi_one
+    )
+    inner = np.minimum(np.minimum(inner_a, qsuf[None, :]), clamp)
     branch1 = (
         ig[None, :]
         + (1.0 - xs)[None, :] * np.minimum(gy_col, phi_lim[None, :])
@@ -356,7 +351,7 @@ def _f_general_matrix(
     )
 
     # second branch: no compensation window (tau_m = 1)
-    comp2 = h_lim if simplified else np.minimum(phi_one, h_lim)
+    comp2 = np.minimum(phi_one, h_lim)
     branch2 = (
         ig[None, :]
         + ((1.0 - xs) * comp2)[None, :]
@@ -370,29 +365,22 @@ def f_general(
     y_u: float,
     charging: ChargingFunction,
     grid: BoundGrid = BoundGrid(),
-    *,
-    simplified: bool = False,
 ) -> float:
     """Per-edge expected-gain lower bound for the general-graph analysis."""
     _in_unit(y_u)
     if not check_properties(charging).passed:
         raise ChargingInvalid("charging function fails its required properties")
-    return float(
-        _f_general_matrix(np.array([y_u]), charging, grid, simplified=simplified)[0]
-    )
+    return float(_f_general_matrix(np.array([y_u]), charging, grid)[0])
 
 
 def ratio_general(
-    charging: ChargingFunction,
-    grid: BoundGrid = BoundGrid(),
-    *,
-    simplified: bool = False,
+    charging: ChargingFunction, grid: BoundGrid = BoundGrid()
 ) -> float:
     """Competitive-ratio lower bound: integral of the general f over ranks."""
     if not check_properties(charging).passed:
         raise ChargingInvalid("charging function fails its required properties")
     ys = grid.axis()
-    fy = _f_general_matrix(ys, charging, grid, simplified=simplified)
+    fy = _f_general_matrix(ys, charging, grid)
     return float(np.trapezoid(fy, ys))
 
 

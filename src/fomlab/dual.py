@@ -8,10 +8,16 @@ active vertex removed; `find_victim` runs it in full.  The batch path runs
 no counterfactual at all: removing an active vertex changes Ranking's run
 along one alternating path, and the victim is where that path ends, so it
 follows each path through the base run's arrays.
+
+The batch rule is written once and evaluated two ways: on sampled ranks
+for the Monte Carlo estimates, and on every rank order of a small instance,
+one row of order positions each, with g and h replaced by their expectations
+at the order statistics, for the exact covers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations
@@ -41,6 +47,9 @@ from .errors import (
 from .instance import Instance
 
 COND1_TOL = 1e-9
+
+EXACT_MAX_N = 8
+"""Largest n for `exact_edge_cover`, which makes one batch row per rank order."""
 
 
 @dataclass(frozen=True)
@@ -154,6 +163,12 @@ def simulate_alphas_batch(
     Returns (alpha, matched_edges): alpha is (trials x n), matched_edges the
     per-trial matching size.  Cross-checked against assign_duals in tests.
     """
+    return _alphas(instance, ranks_matrix, charging.g_limit_grid, charging.h_limit_grid)
+
+
+def _alphas(instance: Instance, ranks_matrix: np.ndarray, g, h):
+    """The batch dual rule: g and h map the passive partners' entries of
+    ranks_matrix to their gain share and compensation."""
     trials, n = ranks_matrix.shape
     partner, active = run_ranking_batch(instance, ranks_matrix)
     alpha = np.zeros((trials, n))
@@ -165,7 +180,7 @@ def simulate_alphas_batch(
         if not sel.any():
             continue
         p = partner[sel, v]
-        gp = charging.g_limit_grid(ranks_matrix[sel, p])
+        gp = g(ranks_matrix[sel, p])
         alpha[sel, v] += 1.0 - gp
         alpha[rows[sel], p] += gp
 
@@ -268,7 +283,7 @@ def simulate_alphas_batch(
         vrows = col_row[lo:hi][has_victim]
         victim = nbrs[hit[has_victim].argmax(axis=1)]
         p = partner[vrows, w]
-        amount = charging.h_limit_grid(ranks_matrix[vrows, p])
+        amount = h(ranks_matrix[vrows, p])
         alpha[vrows, w] -= amount
         alpha[vrows, victim] += amount
 
@@ -417,87 +432,56 @@ def verify_feasibility(
     )
 
 
-# -- exact quadrature oracle (n <= 4) ----------------------------------------
+# -- exact covers over all rank orders (n <= EXACT_MAX_N) ----------------------
 
 
-def _order_statistic_expectation(
-    charging: ChargingFunction, which: str, r: int, n: int
-) -> float:
-    """E[f(U_(r:n))] by Gauss-Legendre on each smooth piece of f."""
-    fn = charging.g if which == "g" else charging.h
-    coef = math.factorial(n) / (
-        math.factorial(r - 1) * math.factorial(n - r)
-    )
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """32-point nodes and weights, built on first use: building them at
+    import would load numpy.polynomial into every process."""
+    return np.polynomial.legendre.leggauss(32)
+
+
+def _order_statistic_table(fn, charging: ChargingFunction, n: int) -> np.ndarray:
+    """E[fn(U_(r:n))] for r = 1..n, by Gauss-Legendre on each smooth piece."""
+    nodes, weights = _gauss_legendre()
+    r = np.arange(1, n + 1)
+    # n! / ((r-1)! (n-r)!), the density of U_(r:n) over x^(r-1) (1-x)^(n-r)
+    coef = np.array([n * math.comb(n - 1, k) for k in range(n)], dtype=float)
     breakpoints = [0.0, 1.0]
     if charging.constants is not None:
         breakpoints.insert(1, charging.constants.t)
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    total = 0.0
+    total = np.zeros(n)
     for a, b in zip(breakpoints, breakpoints[1:]):
-        xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        xs = (0.5 * (b - a) * nodes + 0.5 * (a + b))[:, None]
         vals = fn(xs) * xs ** (r - 1) * (1.0 - xs) ** (n - r)
-        total += 0.5 * (b - a) * float(np.dot(weights, vals))
+        total += 0.5 * (b - a) * (weights @ vals)
     return coef * total
 
 
 def exact_edge_cover(
     instance: Instance, edge: tuple[int, int], charging: ChargingFunction
 ) -> float:
-    """Exact E[alpha_u + alpha_v] by summing over rank orders.
+    """Exact E[alpha_u + alpha_v] as the batch duals averaged over rank orders.
 
-    Within a fixed rank order the matching, roles and victims are constant,
-    so each alpha decomposes into constants plus g/h evaluated at specific
-    order statistics; those expectations integrate in closed form.
+    Each of the n! rank orders is one row of order positions.  Within an
+    order the matching, roles and victims are fixed, so each alpha is linear
+    in g and h at the passive partners' ranks; the rank at (0-based)
+    position r is distributed as U_(r+1:n) whatever the order, so g and h
+    become lookups in tables of order-statistic expectations.
     """
     n = instance.n
-    if n > 4:
-        raise TooLarge("exact quadrature oracle is limited to n <= 4")
+    if n > EXACT_MAX_N:
+        raise TooLarge(f"exact edge cover is limited to n <= {EXACT_MAX_N}")
     eu, ev = min(edge), max(edge)
     if not instance.has_edge(eu, ev):
         raise RankMissing(f"edge {(eu, ev)} not in instance")
-
-    cache: dict[tuple[str, int], float] = {}
-
-    def expect(which: str, r: int) -> float:
-        key = (which, r)
-        if key not in cache:
-            cache[key] = _order_statistic_expectation(charging, which, r, n)
-        return cache[key]
-
-    total = 0.0
-    count = 0
-    for perm in permutations(range(n)):
-        # perm[i] = vertex holding the i-th smallest rank
-        position = {vtx: i for i, vtx in enumerate(perm)}
-        rep = RankAssignment(
-            tuple((position[v] + 0.5) / n for v in range(n)),
-            (Side.AT,) * n,
-        )
-        outcome = run_ranking(instance, rep)
-        const = 0.0
-        terms: dict[tuple[str, int], float] = {}
-
-        def add(vtx: int, c: float, which: Optional[str], at: Optional[int], sign: float):
-            nonlocal const
-            if vtx not in (eu, ev):
-                return
-            const += c
-            if which is not None:
-                key = (which, position[at] + 1)
-                terms[key] = terms.get(key, 0.0) + sign
-
-        for a in range(n):
-            if outcome.role[a] is not Role.ACTIVE:
-                continue
-            p = outcome.partner[a]
-            add(a, 1.0, "g", p, -1.0)  # active share 1 - g(y_p)
-            add(p, 0.0, "g", p, +1.0)  # passive share g(y_p)
-            z = find_victim(instance, rep, a, outcome)
-            if z is not None:
-                add(a, 0.0, "h", p, -1.0)
-                add(z, 0.0, "h", p, +1.0)
-
-        value = const + sum(c * expect(wf, r) for (wf, r), c in terms.items())
-        total += value
-        count += 1
-    return total / count
+    # every permutation is a row: row[v] is v's position in that rank order
+    positions = np.array(list(permutations(range(n))), dtype=np.intp)
+    eg = _order_statistic_table(charging.g, charging, n)
+    eh = _order_statistic_table(charging.h, charging, n)
+    alpha, msize = _alphas(instance, positions, eg.__getitem__, eh.__getitem__)
+    residual = np.abs(alpha.sum(axis=1) - msize).max()
+    if residual > COND1_TOL:
+        raise InvariantViolated(f"|sum alpha - |M|| = {residual:.3g} on a rank order")
+    return float((alpha[:, eu] + alpha[:, ev]).mean())

@@ -32,6 +32,9 @@ layered k=100, h=50 instance (495,000 edges)."""
 MAX_LEAVES = 1 << 23
 """Leaf budget of `adversary_ratio`, whose harmonic sum takes a step per leaf."""
 
+MAX_FLUID_LEVELS = 1 << 20
+"""Level budget of `fluid_recurrence`, which keeps one float per level."""
+
 
 def _too_large(family: str, params) -> TooLarge:
     return TooLarge(
@@ -283,6 +286,8 @@ def fluid_recurrence(k: int, h: int) -> FluidResult:
     """
     if k < 1 or h < 1:
         raise ParamsInvalid(f"need k >= 1 and h >= 1, got k={k}, h={h}")
+    if h > MAX_FLUID_LEVELS:
+        raise TooLarge(f"fluid recurrence h={h}: over {MAX_FLUID_LEVELS} levels")
     xs = [1.0]
     for _ in range(h - 1):
         xs.append(math.exp(-xs[-1]))

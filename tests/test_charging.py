@@ -189,11 +189,13 @@ def test_f_general_dominates_lemma_bound():
         assert f_general(float(y), PIECEWISE) >= bound - 1e-9
 
 
-def test_full_and_simplified_forms_agree_for_b2():
-    grid = BoundGrid(step=2e-3)
-    full = ratio_general(PIECEWISE, grid)
-    simplified = ratio_general(PIECEWISE, grid, simplified=True)
-    assert full == pytest.approx(simplified, abs=1e-12)
+def test_phi_one_minus_clamp_never_binds_for_b2():
+    # the general bound clamps compensations at phi(1-minus); with the stock
+    # constants h stays below it on the whole grid, so the clamp is inert
+    xs = BoundGrid(step=2e-3).axis()
+    phi_one = PIECEWISE.phi(1.0, Side.JUST_BELOW)
+    assert phi_one == pytest.approx(0.21)
+    assert (PIECEWISE.h_limit_grid(xs) <= phi_one).all()
 
 
 def test_ratio_general_bound():

@@ -409,6 +409,7 @@ def test_generator_above_edge_budget_exits_2(family):
     "args",
     [
         ["hardness", "adversary", "--k", "7", "--h", "30"],
+        ["hardness", "layered", "--k", "2", "--h", "100000000"],
         ["generate", "random", "--n", "300000", "--p", "0.0001"],
         ["generate", "one-sided", "--n", "30000"],
     ],

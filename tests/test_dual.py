@@ -1,12 +1,14 @@
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from conftest import cycle, path, single_edge, small_instance_collection, triangle
-from fomlab.charging import EXPONENTIAL, PIECEWISE
+from fomlab.charging import CAPPED, EXPONENTIAL, PIECEWISE
 from fomlab.dual import (
+    EXACT_MAX_N,
     assign_duals,
     estimate_edge_cover,
     exact_edge_cover,
@@ -16,13 +18,21 @@ from fomlab.dual import (
     verify_feasibility,
 )
 from fomlab.engine import (
+    RankAssignment,
     Role,
+    Side,
     ranks_from_values,
     run_ranking,
     run_ranking_batch,
     sample_ranks,
 )
-from fomlab.errors import NotActive, ParamsInvalid, RankMissing, TooLarge
+from fomlab.errors import (
+    InvariantViolated,
+    NotActive,
+    ParamsInvalid,
+    RankMissing,
+    TooLarge,
+)
 from fomlab.instance import A, D, build_instance, random_instance
 
 
@@ -51,7 +61,6 @@ def test_marginal_rank_requires_full_cover():
 
 def test_marginal_rank_definition_holds(small_instances):
     """theta-minus yields passive; every higher candidate does not."""
-    from fomlab.engine import Side
 
     rng = np.random.default_rng(2)
     for inst in small_instances[:8]:
@@ -102,7 +111,7 @@ def test_find_victim_takes_the_base_outcome(small_instances, monkeypatch):
         for w in range(inst.n):
             if outcome.role[w] is Role.ACTIVE:
                 assert find_victim(inst, ranks, w, outcome) == find_victim(inst, ranks, w)
-    # assign_duals and exact_edge_cover run the base Ranking once per rank vector
+    # assign_duals runs the base Ranking once per rank vector
     calls = []
     real = dual_mod.run_ranking
 
@@ -113,9 +122,23 @@ def test_find_victim_takes_the_base_outcome(small_instances, monkeypatch):
     monkeypatch.setattr(dual_mod, "run_ranking", counting)
     assign_duals(triangle(), ranks_from_values([0.9, 0.3, 0.6]), PIECEWISE)
     assert len(calls) == 1
+    # exact_edge_cover runs every rank order as one row of a single batch call
     calls.clear()
+    batch_calls = []
+    real_batch = dual_mod.run_ranking_batch
+
+    def counting_batch(*args, **kwargs):
+        batch_calls.append(1)
+        return real_batch(*args, **kwargs)
+
+    def no_victim_replay(*args, **kwargs):
+        raise AssertionError("find_victim called")
+
+    monkeypatch.setattr(dual_mod, "run_ranking_batch", counting_batch)
+    monkeypatch.setattr(dual_mod, "find_victim", no_victim_replay)
     exact_edge_cover(triangle(), (0, 1), PIECEWISE)
-    assert len(calls) == 6  # one per rank order of three vertices
+    assert len(calls) == 0
+    assert len(batch_calls) == 1
 
 
 def test_assign_duals_triangle_exponential():
@@ -374,24 +397,121 @@ def test_estimate_edge_cover_unknown_edge():
         estimate_edge_cover(single_edge(), (0, 2), EXPONENTIAL, 10, 0)
 
 
+def _assert_exact_within_4_sigma(inst, charging, seed):
+    # one run estimates every edge, as estimate_edge_cover does per edge
+    report = verify_feasibility(inst, charging, 0.0, 200_000, seed)
+    for est in report.edges:
+        exact = exact_edge_cover(inst, (est.u, est.v), charging)
+        assert est.mean == pytest.approx(exact, abs=max(4 * est.stderr, 1e-4))
+
+
 def test_exact_edge_cover_matches_monte_carlo():
-    insts = [triangle(), path(3), path(4), cycle(4)]
-    for inst in insts:
+    for inst in [triangle(), path(3), path(4), cycle(4)]:
         for charging in (EXPONENTIAL, PIECEWISE):
+            _assert_exact_within_4_sigma(inst, charging, 13)
+
+
+def test_exact_edge_cover_matches_monte_carlo_up_to_n8():
+    for n, bipartite, seed in [(5, False, 1), (6, True, 0), (7, False, 2), (8, True, 0), (8, False, 0)]:
+        inst = random_instance(n, 0.7, bipartite, seed)
+        assert inst.m >= 5
+        _assert_exact_within_4_sigma(inst, EXPONENTIAL if bipartite else PIECEWISE, 17)
+
+
+def _order_statistic_expectation(charging, which, r, n):
+    """E[f(U_(r:n))] by Gauss-Legendre on each smooth piece of f."""
+    fn = charging.g if which == "g" else charging.h
+    coef = math.factorial(n) / (math.factorial(r - 1) * math.factorial(n - r))
+    breakpoints = [0.0, 1.0]
+    if charging.constants is not None:
+        breakpoints.insert(1, charging.constants.t)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    total = 0.0
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        vals = fn(xs) * xs ** (r - 1) * (1.0 - xs) ** (n - r)
+        total += 0.5 * (b - a) * float(np.dot(weights, vals))
+    return coef * total
+
+
+def _exact_edge_cover_per_order(inst, edge, charging):
+    """Reference for exact_edge_cover: one scalar Ranking run and one
+    find_victim replay per active vertex in each rank order, with each
+    alpha's g and h terms collected at the order statistics by hand."""
+    n = inst.n
+    eu, ev = min(edge), max(edge)
+    total = 0.0
+    orders = list(permutations(range(n)))
+    for perm in orders:
+        # perm[i] = vertex holding the i-th smallest rank
+        position = {vtx: i for i, vtx in enumerate(perm)}
+        rep = RankAssignment(
+            tuple((position[v] + 0.5) / n for v in range(n)), (Side.AT,) * n
+        )
+        outcome = run_ranking(inst, rep)
+        const = 0.0
+        terms = {}
+
+        def add(vtx, c, which, at, sign):
+            nonlocal const
+            if vtx not in (eu, ev):
+                return
+            const += c
+            key = (which, position[at] + 1)
+            terms[key] = terms.get(key, 0.0) + sign
+
+        for a in range(n):
+            if outcome.role[a] is not Role.ACTIVE:
+                continue
+            p = outcome.partner[a]
+            add(a, 1.0, "g", p, -1.0)  # active share 1 - g(y_p)
+            add(p, 0.0, "g", p, +1.0)  # passive share g(y_p)
+            z = find_victim(inst, rep, a, outcome)
+            if z is not None:
+                add(a, 0.0, "h", p, -1.0)
+                add(z, 0.0, "h", p, +1.0)
+        total += const + sum(
+            c * _order_statistic_expectation(charging, wf, r, n)
+            for (wf, r), c in terms.items()
+        )
+    return total / len(orders)
+
+
+def test_exact_edge_cover_matches_per_order_reference(small_instances):
+    # the single edge, path(3), path(4), triangle, cycle(4), K4, star(3)
+    # and the interleaved path
+    insts = [inst for inst in small_instances if inst.n <= 4]
+    assert len(insts) == 8
+    for inst in insts:
+        for charging in (EXPONENTIAL, PIECEWISE, CAPPED):
             for edge in inst.edges:
                 exact = exact_edge_cover(inst, edge, charging)
-                mean, stderr = estimate_edge_cover(
-                    inst, edge, charging, 200_000, 13
-                )
-                assert mean == pytest.approx(exact, abs=max(4 * stderr, 1e-4))
+                ref = _exact_edge_cover_per_order(inst, edge, charging)
+                assert exact == pytest.approx(ref, abs=1e-12), (inst, edge, charging)
+
+
+def test_exact_edge_cover_checks_mass_balance_on_every_order(monkeypatch):
+    import fomlab.dual as dual_mod
+
+    real = dual_mod._alphas
+
+    def one_order_off(*args):
+        alpha, msize = real(*args)
+        alpha[-1, 0] += 1e-6
+        return alpha, msize
+
+    monkeypatch.setattr(dual_mod, "_alphas", one_order_off)
+    with pytest.raises(InvariantViolated):
+        exact_edge_cover(path(4), (0, 1), PIECEWISE)
 
 
 def test_exact_edge_cover_size_limit():
-    from fomlab.instance import random_instance
-
-    inst = random_instance(6, 0.8, False, 0)
+    assert EXACT_MAX_N == 8
+    inst = random_instance(9, 0.8, False, 0)
     with pytest.raises(TooLarge):
         exact_edge_cover(inst, inst.edges[0], EXPONENTIAL)
+    with pytest.raises(RankMissing):
+        exact_edge_cover(path(3), (0, 2), EXPONENTIAL)
 
 
 def test_verify_feasibility_report():

@@ -9,6 +9,7 @@ from fomlab.errors import ParamsInvalid, TooLarge
 from fomlab import hardness
 from fomlab.hardness import (
     MAX_EDGES,
+    MAX_FLUID_LEVELS,
     MAX_LEAVES,
     AdversaryTreeParams,
     LayeredParams,
@@ -176,6 +177,14 @@ def test_fluid_recurrence():
     assert res.fractions[1] == pytest.approx(math.exp(-1.0))
     long = fluid_recurrence(10, 80)
     assert long.fractions[-1] == pytest.approx(omega_fixed_point(), abs=1e-9)
+
+
+def test_fluid_recurrence_level_budget():
+    assert MAX_FLUID_LEVELS == 2**20
+    assert len(fluid_recurrence(2, MAX_FLUID_LEVELS).fractions) == MAX_FLUID_LEVELS
+    for h in (MAX_FLUID_LEVELS + 1, 10**8, 10**30):
+        with pytest.raises(TooLarge):
+            fluid_recurrence(2, h)
 
 
 def test_z_path_against_exponential_decay():
