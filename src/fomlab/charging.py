@@ -12,6 +12,7 @@ through an epsilon below 1: both piecewise functions jump at 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
@@ -198,12 +199,14 @@ class PropertyReport:
         return {**asdict(self), "passed": self.passed}
 
 
+@functools.cache
 def check_properties(
     charging: ChargingFunction, grid: BoundGrid = BoundGrid()
 ) -> PropertyReport:
     """Verify the required (g, h) properties on a dense grid plus breakpoints.
 
-    Piecewise kinds additionally get exact slope checks.
+    Piecewise kinds additionally get exact slope checks.  The report is a
+    pure function of two frozen values, so it is computed once for each.
     """
     xs = grid.axis()
     if charging.constants is not None:

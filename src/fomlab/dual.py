@@ -1,6 +1,10 @@
 """Randomized dual fitting: marginal ranks, victims, gain sharing and the
 empirical verification of the two dual-feasibility conditions.
 
+The marginal rank of v comes from one run of Ranking without v: with v the
+run agrees with it until a neighbour picks v, and only a neighbour with an
+earlier deadline that is not passive without v can.
+
 Per-run duals follow the two-step rule literally: gain sharing on matched
 edges, then a compensation h(y_passive_partner) from every active vertex
 that has a victim.  A victim is defined by a counterfactual run with the
@@ -31,7 +35,6 @@ from .engine import (
     MatchingOutcome,
     RankAssignment,
     Role,
-    Side,
     run_ranking,
     run_ranking_batch,
     run_without,
@@ -69,24 +72,27 @@ class MarginalRank:
 def marginal_rank(
     instance: Instance, ranks_others: RankAssignment, v: int
 ) -> MarginalRank:
-    """Largest candidate rank c such that v is passive at y_v = c-minus.
+    """Largest candidate rank c (the other ranks and 1) such that v is
+    passive at y_v = c-minus; 0 if there is none.
 
-    The matching is piecewise constant in y_v between other vertices' ranks,
-    so scanning the candidate set {other ranks} + {1} from above is exact.
+    One run without v decides it.  An earlier-deadline neighbour u that is
+    not passive there picks v at c if it is unmatched there, or if v's probe
+    key (c, just-below, v) is below the key of its partner there.
     """
-    if len(ranks_others.ranks) != instance.n:
-        raise RankMissing("rank assignment must cover all vertices (v is ignored)")
-    candidates = sorted(
-        {ranks_others.ranks[u] for u in range(instance.n) if u != v} | {1.0},
-        reverse=True,
+    without = run_without(instance, ranks_others, v)  # checks the ranks' length
+    candidates = {ranks_others.ranks[u] for u in range(instance.n) if u != v} | {1.0}
+    eligible = [
+        u
+        for u in instance.adj[v]
+        if instance.earlier_deadline(u, v) and without.role[u] is not Role.PASSIVE
+    ]
+    if any(without.partner[u] < 0 for u in eligible):
+        return MarginalRank(theta=max(candidates))
+    # () sorts below every key; (c, 0, v) is v's key at (c, Side.JUST_BELOW)
+    limit = max((ranks_others.key(without.partner[u]) for u in eligible), default=())
+    return MarginalRank(
+        theta=max((c for c in candidates if (c, 0, v) < limit), default=0.0)
     )
-    for c in candidates:
-        out = run_ranking(
-            instance, ranks_others.with_rank(v, c, Side.JUST_BELOW)
-        )
-        if out.role[v] is Role.PASSIVE:
-            return MarginalRank(theta=c)
-    return MarginalRank(theta=0.0)
 
 
 def find_victim(
@@ -459,10 +465,9 @@ def _order_statistic_table(fn, charging: ChargingFunction, n: int) -> np.ndarray
     return coef * total
 
 
-def exact_edge_cover(
-    instance: Instance, edge: tuple[int, int], charging: ChargingFunction
-) -> float:
-    """Exact E[alpha_u + alpha_v] as the batch duals averaged over rank orders.
+def exact_edge_covers(instance: Instance, charging: ChargingFunction) -> np.ndarray:
+    """Exact E[alpha_u + alpha_v] of every edge, in `edge_array` order, as
+    the batch duals averaged over rank orders.
 
     Each of the n! rank orders is one row of order positions.  Within an
     order the matching, roles and victims are fixed, so each alpha is linear
@@ -473,9 +478,6 @@ def exact_edge_cover(
     n = instance.n
     if n > EXACT_MAX_N:
         raise TooLarge(f"exact edge cover is limited to n <= {EXACT_MAX_N}")
-    eu, ev = min(edge), max(edge)
-    if not instance.has_edge(eu, ev):
-        raise RankMissing(f"edge {(eu, ev)} not in instance")
     # every permutation is a row: row[v] is v's position in that rank order
     positions = np.array(list(permutations(range(n))), dtype=np.intp)
     eg = _order_statistic_table(charging.g, charging, n)
@@ -484,4 +486,18 @@ def exact_edge_cover(
     residual = np.abs(alpha.sum(axis=1) - msize).max()
     if residual > COND1_TOL:
         raise InvariantViolated(f"|sum alpha - |M|| = {residual:.3g} on a rank order")
-    return float((alpha[:, eu] + alpha[:, ev]).mean())
+    # vertex-major: each edge sums one contiguous row, in the order a mean
+    # over that edge's column alone would
+    alpha_vm = np.ascontiguousarray(alpha.T)
+    eu, ev = instance.edge_array.T
+    return (alpha_vm[eu] + alpha_vm[ev]).mean(axis=1)
+
+
+def exact_edge_cover(
+    instance: Instance, edge: tuple[int, int], charging: ChargingFunction
+) -> float:
+    """Exact E[alpha_u + alpha_v] of one edge; see `exact_edge_covers`."""
+    e = (min(edge), max(edge))
+    if not instance.has_edge(*e):
+        raise RankMissing(f"edge {e} not in instance")
+    return float(exact_edge_covers(instance, charging)[instance.edges.index(e)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from itertools import permutations
@@ -6,12 +7,20 @@ import numpy as np
 import pytest
 
 from conftest import cycle, path, single_edge, small_instance_collection, triangle
-from fomlab.charging import CAPPED, EXPONENTIAL, PIECEWISE
+from fomlab.charging import (
+    B2_CONSTANTS,
+    CAPPED,
+    EXPONENTIAL,
+    PIECEWISE,
+    ChargingFunction,
+    ChargingKind,
+)
 from fomlab.dual import (
     EXACT_MAX_N,
     assign_duals,
     estimate_edge_cover,
     exact_edge_cover,
+    exact_edge_covers,
     find_victim,
     marginal_rank,
     simulate_alphas_batch,
@@ -27,6 +36,7 @@ from fomlab.engine import (
     sample_ranks,
 )
 from fomlab.errors import (
+    ChargingInvalid,
     InvariantViolated,
     NotActive,
     ParamsInvalid,
@@ -60,26 +70,132 @@ def test_marginal_rank_requires_full_cover():
 
 
 def test_marginal_rank_definition_holds(small_instances):
-    """theta-minus yields passive; every higher candidate does not."""
+    """theta-minus yields passive, and so does every lower candidate; every
+    higher candidate does not."""
 
     rng = np.random.default_rng(2)
-    for inst in small_instances[:8]:
+    for inst in small_instances:
         ranks = ranks_from_values(rng.random(inst.n))
         for v in range(inst.n):
             theta = marginal_rank(inst, ranks, v).theta
             candidates = sorted(
                 {ranks.ranks[u] for u in range(inst.n) if u != v} | {1.0}
             )
-            if theta > 0.0:
-                out = run_ranking(
-                    inst, ranks.with_rank(v, theta, Side.JUST_BELOW)
-                )
-                assert out.role[v] is Role.PASSIVE
             for c in candidates:
-                if c <= theta:
-                    continue
                 out = run_ranking(inst, ranks.with_rank(v, c, Side.JUST_BELOW))
-                assert out.role[v] is not Role.PASSIVE
+                assert (out.role[v] is Role.PASSIVE) == (c <= theta), (inst, v, c)
+
+
+def _marginal_rank_scan(inst, ranks, v):
+    """Reference for marginal_rank: probe the candidates from the top, one
+    full Ranking run each, and stop at the first where v is passive."""
+    candidates = sorted(
+        {ranks.ranks[u] for u in range(inst.n) if u != v} | {1.0}, reverse=True
+    )
+    for c in candidates:
+        out = run_ranking(inst, ranks.with_rank(v, c, Side.JUST_BELOW))
+        if out.role[v] is Role.PASSIVE:
+            return c
+    return 0.0
+
+
+def _rank_draws(rng, n):
+    """Uniform ranks; ranks on a coarse grid that tie often, some exactly 1;
+    and the same with random just-below sides on the vertices."""
+    yield ranks_from_values(rng.random(n))
+    coarse = np.round(rng.random(n), 1)
+    yield ranks_from_values(coarse)
+    quarters = rng.integers(0, 5, n) / 4.0
+    sides = [Side.JUST_BELOW if b else Side.AT for b in rng.random(n) < 0.5]
+    yield ranks_from_values(quarters, sides)
+    sides = [Side.JUST_BELOW if b else Side.AT for b in rng.random(n) < 0.5]
+    yield ranks_from_values(coarse, sides)
+
+
+def _assert_marginal_rank_matches_scan(inst, ranks):
+    for v in range(inst.n):
+        theta = marginal_rank(inst, ranks, v).theta
+        ref = _marginal_rank_scan(inst, ranks, v)
+        assert theta == ref and math.copysign(1.0, theta) == math.copysign(1.0, ref), (
+            inst, ranks, v, theta, ref,
+        )
+
+
+def test_marginal_rank_matches_scan_on_small_instances(small_instances):
+    rng = np.random.default_rng(41)
+    for inst in small_instances:
+        for _ in range(5):
+            for ranks in _rank_draws(rng, inst.n):
+                _assert_marginal_rank_matches_scan(inst, ranks)
+
+
+def test_marginal_rank_matches_scan_on_random_instances():
+    rng = np.random.default_rng(42)
+    seen = {"just_below_tie": 0, "at_one": 0, "isolated": 0}
+    for i in range(400):
+        n = int(rng.integers(1, 13))
+        inst = random_instance(n, float(rng.uniform(0.05, 0.9)), bool(i % 2), 600 + i)
+        seen["isolated"] += sum(not inst.adj[v] for v in range(n))
+        for ranks in _rank_draws(rng, n):
+            seen["at_one"] += ranks.ranks.count(1.0)
+            below = [r for r, s in zip(ranks.ranks, ranks.sides) if s is Side.JUST_BELOW]
+            seen["just_below_tie"] += len(below) - len(set(below))
+            _assert_marginal_rank_matches_scan(inst, ranks)
+    assert all(seen.values()), seen
+
+
+def test_marginal_rank_corner_cases():
+    # one vertex
+    inst = build_instance(1, [A(0), D(0)], [])
+    assert marginal_rank(inst, ranks_from_values([0.4]), 0).theta == 0.0
+    # u = 0 decides first; without v = 2 it is unmatched, so it always picks v
+    inst = build_instance(3, [A(0), A(1), A(2), D(0), D(1), D(2)], [(0, 2), (1, 2)])
+    assert marginal_rank(inst, ranks_from_values([0.2, 0.7, 0.5]), 2).theta == 1.0
+    # u = 2 decides first and takes b without v; b sits just below 0.5, so
+    # v's probe at 0.5-minus ties b's rank and side and beats b only when
+    # v's id is the smaller
+    events = [A(v) for v in range(3)] + [D(2), D(0), D(1)]
+    for v, b in ((0, 1), (1, 0)):
+        others = [0.3, 0.3, 0.3]
+        others[b] = 0.5
+        sides = [Side.AT] * 3
+        sides[b] = Side.JUST_BELOW
+        inst = build_instance(3, events, [(2, v), (2, b)])
+        ranks = ranks_from_values(others, sides)
+        expected = 0.5 if v < b else 0.3
+        assert marginal_rank(inst, ranks, v).theta == expected
+        assert _marginal_rank_scan(inst, ranks, v) == expected
+    # a neighbour that is passive without v is matched before its deadline
+    events = [A(v) for v in range(3)] + [D(1), D(0), D(2)]
+    inst = build_instance(3, events, [(0, 1), (0, 2)])
+    ranks = ranks_from_values([0.1, 0.9, 0.6])
+    assert marginal_rank(inst, ranks, 2).theta == _marginal_rank_scan(inst, ranks, 2) == 0.0
+
+
+def test_marginal_rank_makes_one_scalar_run(small_instances, monkeypatch):
+    import fomlab.dual as dual_mod
+    import fomlab.engine as engine_mod
+
+    calls = []
+    real = engine_mod.run_ranking
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("removed"))
+        return real(*args, **kwargs)
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("run_ranking_batch called")
+
+    monkeypatch.setattr(engine_mod, "run_ranking", counting)
+    monkeypatch.setattr(dual_mod, "run_ranking", counting)
+    monkeypatch.setattr(dual_mod, "run_ranking_batch", no_batch)
+    rng = np.random.default_rng(43)
+    for inst in small_instances:
+        ranks = ranks_from_values(rng.random(inst.n))
+        for v in range(inst.n):
+            calls.clear()
+            marginal_rank(inst, ranks, v)
+            assert calls == [v]
 
 
 def test_find_victim_triangle():
@@ -160,6 +276,20 @@ def test_assign_duals_triangle_piecewise():
     assert d.alpha[0] == pytest.approx(0.446)
     assert d.victim_of == {0: 2}
     assert sum(d.alpha) == pytest.approx(1.0)
+
+
+def test_assign_duals_checks_each_charging_once_cached():
+    # check_properties is cached per (charging, grid); a charging that fails
+    # it still fails assign_duals after a valid one has been cached
+    ranks = ranks_from_values([0.5, 0.2, 0.8])
+    assign_duals(triangle(), ranks, PIECEWISE)
+    bad = ChargingFunction(
+        ChargingKind.PIECEWISE_GENERAL, dataclasses.replace(B2_CONSTANTS, kh1=1.2)
+    )
+    for _ in range(2):
+        with pytest.raises(ChargingInvalid):
+            assign_duals(triangle(), ranks, bad)
+    assert sum(assign_duals(triangle(), ranks, PIECEWISE).alpha) == pytest.approx(1.0)
 
 
 def test_assign_duals_empty_matching():
@@ -398,10 +528,12 @@ def test_estimate_edge_cover_unknown_edge():
 
 
 def _assert_exact_within_4_sigma(inst, charging, seed):
-    # one run estimates every edge, as estimate_edge_cover does per edge
+    # one run estimates every edge, and one call covers every edge, both in
+    # edge_array order
     report = verify_feasibility(inst, charging, 0.0, 200_000, seed)
-    for est in report.edges:
-        exact = exact_edge_cover(inst, (est.u, est.v), charging)
+    covers = exact_edge_covers(inst, charging)
+    assert len(covers) == len(report.edges) == inst.m
+    for est, exact in zip(report.edges, covers):
         assert est.mean == pytest.approx(exact, abs=max(4 * est.stderr, 1e-4))
 
 
@@ -484,10 +616,33 @@ def test_exact_edge_cover_matches_per_order_reference(small_instances):
     assert len(insts) == 8
     for inst in insts:
         for charging in (EXPONENTIAL, PIECEWISE, CAPPED):
-            for edge in inst.edges:
-                exact = exact_edge_cover(inst, edge, charging)
+            covers = exact_edge_covers(inst, charging)
+            for edge, exact in zip(inst.edges, covers, strict=True):
                 ref = _exact_edge_cover_per_order(inst, edge, charging)
                 assert exact == pytest.approx(ref, abs=1e-12), (inst, edge, charging)
+
+
+def test_exact_edge_cover_reads_one_entry_of_all_covers(monkeypatch):
+    import fomlab.dual as dual_mod
+
+    calls = []
+    real = dual_mod._alphas
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(dual_mod, "_alphas", counting)
+    for inst in (triangle(), path(4), random_instance(6, 0.6, False, 3)):
+        for charging in (EXPONENTIAL, PIECEWISE):
+            calls.clear()
+            covers = exact_edge_covers(inst, charging)
+            assert calls == [1]
+            assert covers.shape == (inst.m,)
+            for i, (u, v) in enumerate(inst.edges):
+                assert exact_edge_cover(inst, (v, u), charging) == covers[i]
+    inst = build_instance(3, [A(v) for v in range(3)] + [D(v) for v in range(3)], [])
+    assert exact_edge_covers(inst, PIECEWISE).shape == (0,)
 
 
 def test_exact_edge_cover_checks_mass_balance_on_every_order(monkeypatch):
@@ -510,6 +665,8 @@ def test_exact_edge_cover_size_limit():
     inst = random_instance(9, 0.8, False, 0)
     with pytest.raises(TooLarge):
         exact_edge_cover(inst, inst.edges[0], EXPONENTIAL)
+    with pytest.raises(TooLarge):
+        exact_edge_covers(inst, EXPONENTIAL)
     with pytest.raises(RankMissing):
         exact_edge_cover(path(3), (0, 2), EXPONENTIAL)
 

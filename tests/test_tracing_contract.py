@@ -80,3 +80,20 @@ def test_installed_tracer_sees_each_generator_build(tracing):
     assert len(gens) == 2
     assert sorted(s[tracing.PARENT] for s in builds) == gens
     assert tracer.counts["instance.edges_built"] == sum(inst.m for inst in built)
+
+
+def test_traced_marginal_rank_records_one_scalar_run(tracing):
+    # marginal_rank runs Ranking once, without v, through engine.run_ranking
+    # (by way of run_without); the tracer counts that span as its child
+    inst = random_instance(9, 0.5, False, 3)
+    ranks = fomlab.engine.ranks_from_values(np.random.default_rng(3).random(inst.n))
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for v in range(inst.n):
+            fomlab.dual.marginal_rank(inst, ranks, v)
+    spans = tracer.spans
+    calls = [i for i, s in enumerate(spans) if s[tracing.NAME] == "dual.marginal_rank"]
+    assert len(calls) == inst.n
+    for i in calls:
+        children = [s[tracing.NAME] for s in spans if s[tracing.PARENT] == i]
+        assert children == ["engine.scalar"]
