@@ -51,8 +51,12 @@ B2_CONSTANTS = PiecewiseConstants(
 CAP_OFFSET = 0.0128
 
 MAX_GRID_POINTS = 5001
-"""Largest grid axis, a step of 2e-4; the general bound peaks near 1.3 GB
-there, and each further halving of the step quadruples it."""
+"""Largest grid axis, a step of 2e-4.  The bounds take O(points^2) time: the
+general bound needs about 0.5 s there, and each further halving of the step
+quadruples it.  Memory stays O(points) through the row blocks."""
+
+_ROW_BLOCK = 32
+"""Rows per block of the dense bound kernels; 32 was the fastest of 32-512."""
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class BoundGrid:
     def __post_init__(self):
         if not (math.isfinite(self.step) and 0.0 < self.step <= 1.0):
             raise ChargingInvalid(f"grid step must lie in (0, 1], got {self.step}")
-        # the general bound builds (points x points) float arrays
+        # the bounds take O(points^2) time, quadrupling with each halved step
         if round(1.0 / self.step) + 1 > MAX_GRID_POINTS:
             raise TooLarge(
                 f"grid step {self.step} needs more than {MAX_GRID_POINTS} points"
@@ -83,6 +87,16 @@ def _in_unit(x) -> np.ndarray:
 def _value(v):
     """A float for a 0-d result, the array otherwise."""
     return float(v) if np.ndim(v) == 0 else v
+
+
+def _by_row_blocks(n_rows: int, fn) -> np.ndarray:
+    """A length-n_rows array filled by fn(rows), one slice of at most
+    _ROW_BLOCK rows at a time."""
+    out = np.empty(n_rows)
+    for start in range(0, n_rows, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        out[rows] = fn(rows)
+    return out
 
 
 def _two_piece(x: np.ndarray, t: float, k1: float, k2: float, b: float = 0.0):
@@ -245,12 +259,15 @@ def _f_bipartite_matrix(
 ) -> np.ndarray:
     thetas = grid.axis()
     ig = charging.g_integral(thetas)
-    g_theta = charging.g_limit_grid(thetas)
+    comp = 1.0 - charging.g_limit_grid(thetas)
     gy = charging.g_limit_grid(y)
-    vals = ig[None, :] + np.minimum(1.0 - g_theta[None, :], gy[:, None])
     # theta = 1 at the jump: 1 - g(1) = 0 is also a legal candidate
     vals_at_one = charging.g_integral(1.0) + np.minimum(0.0, gy)
-    return np.minimum(vals.min(axis=1), vals_at_one)
+
+    def block(rows: slice) -> np.ndarray:
+        return (ig + np.minimum(comp, gy[rows, None])).min(axis=1)
+
+    return np.minimum(_by_row_blocks(len(y), block), vals_at_one)
 
 
 def f_bipartite(
@@ -323,6 +340,9 @@ def _f_general_matrix(
     the compensation at phi(1-minus): (1 - theta)*phi(1-minus) on the
     window, min(phi(1-minus), h) without one.  With the stock piecewise
     constants h never exceeds phi(1-minus), and the clamp never binds.
+
+    The rows of y run in blocks of _ROW_BLOCK against theta rows computed
+    once, so memory stays O(len(xs)) while time is O(len(y) * len(xs)).
     """
     xs = grid.axis()  # grid point at 1 means the 1-minus limit throughout
     n = len(xs)
@@ -338,30 +358,24 @@ def _f_general_matrix(
         qsuf[i] = q.min()
 
     gy = charging.g_limit_grid(y)
-    gy_col = gy[:, None]
+    xh = xs * h_lim
+    rest = 1.0 - xs
+    clamp_window = rest * phi_one
+    # second branch, no compensation window (tau_m = 1): its y-free part
+    base2 = ig + rest * np.minimum(phi_one, h_lim)
+    one_minus_g = 1.0 - g_lim
 
-    # first branch: compensation window [theta, tau)
-    inner_a = (xs * h_lim)[None, :] + xs[None, :] * gy_col  # tau = theta
-    clamp = ((1.0 - xs) * phi_one)[None, :] + xs[None, :] * np.minimum(
-        gy_col, phi_one
-    )
-    inner = np.minimum(np.minimum(inner_a, qsuf[None, :]), clamp)
-    branch1 = (
-        ig[None, :]
-        + (1.0 - xs)[None, :] * np.minimum(gy_col, phi_lim[None, :])
-        + inner
-        - (xs * h_lim)[None, :]
-    )
+    def block(rows: slice) -> np.ndarray:
+        gy_col = gy[rows, None]
+        # first branch: compensation window [theta, tau)
+        inner_a = xh + xs * gy_col  # tau = theta
+        clamp = clamp_window + xs * np.minimum(gy_col, phi_one)
+        inner = np.minimum(np.minimum(inner_a, qsuf), clamp)
+        branch1 = ig + rest * np.minimum(gy_col, phi_lim) + inner - xh
+        branch2 = base2 + rest * np.minimum(gy_col, one_minus_g)
+        return np.minimum(branch1, branch2).min(axis=1)
 
-    # second branch: no compensation window (tau_m = 1)
-    comp2 = np.minimum(phi_one, h_lim)
-    branch2 = (
-        ig[None, :]
-        + ((1.0 - xs) * comp2)[None, :]
-        + (1.0 - xs)[None, :] * np.minimum(gy_col, 1.0 - g_lim[None, :])
-    )
-
-    return np.minimum(branch1, branch2).min(axis=1)
+    return _by_row_blocks(len(y), block)
 
 
 def f_general(
@@ -424,8 +438,12 @@ def minimize_psi1(
     taus = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
 
     def over_tau(thetas: np.ndarray) -> np.ndarray:
-        th, side = thetas[:, None], Side.JUST_BELOW
-        tau = np.maximum(taus, th)
-        return psi1(y_u, th, tau, charging, theta_side=side, tau_side=side).min(axis=1)
+        def block(rows: slice) -> np.ndarray:
+            th, side = thetas[rows, None], Side.JUST_BELOW
+            tau = np.maximum(taus, th)
+            psi = psi1(y_u, th, tau, charging, theta_side=side, tau_side=side)
+            return psi.min(axis=1)
+
+        return _by_row_blocks(len(thetas), block)
 
     return _grid_argmin(over_tau, coarse_step)

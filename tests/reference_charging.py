@@ -1,0 +1,79 @@
+"""Whole-matrix references for the row-blocked bound kernels.
+
+These are the forms of `_f_bipartite_matrix`, `_f_general_matrix` and
+`minimize_psi1`'s `over_tau` that build every (rows x points) array at once.
+The blocked kernels in `fomlab.charging` must match them bitwise: each
+element goes through the same float operations, and a row minimum does not
+depend on how the rows are grouped.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fomlab.charging import BoundGrid, ChargingFunction, psi1
+from fomlab.engine import Side
+
+
+def reference_f_bipartite(
+    y: np.ndarray, charging: ChargingFunction, grid: BoundGrid
+) -> np.ndarray:
+    thetas = grid.axis()
+    ig = charging.g_integral(thetas)
+    g_theta = charging.g_limit_grid(thetas)
+    gy = charging.g_limit_grid(y)
+    vals = ig[None, :] + np.minimum(1.0 - g_theta[None, :], gy[:, None])
+    vals_at_one = charging.g_integral(1.0) + np.minimum(0.0, gy)
+    return np.minimum(vals.min(axis=1), vals_at_one)
+
+
+def reference_f_general(
+    y: np.ndarray, charging: ChargingFunction, grid: BoundGrid
+) -> np.ndarray:
+    xs = grid.axis()
+    n = len(xs)
+    g_lim = charging.g_limit_grid(xs)
+    h_lim = charging.h_limit_grid(xs)
+    phi_lim = 1.0 - g_lim - h_lim
+    ig = charging.g_integral(xs)
+    phi_one = float(phi_lim[-1])
+
+    qsuf = np.empty(n)
+    for i in range(n):
+        q = h_lim[i] * xs[i:] + xs[i] * phi_lim[i:]
+        qsuf[i] = q.min()
+
+    gy = charging.g_limit_grid(y)
+    gy_col = gy[:, None]
+
+    inner_a = (xs * h_lim)[None, :] + xs[None, :] * gy_col
+    clamp = ((1.0 - xs) * phi_one)[None, :] + xs[None, :] * np.minimum(
+        gy_col, phi_one
+    )
+    inner = np.minimum(np.minimum(inner_a, qsuf[None, :]), clamp)
+    branch1 = (
+        ig[None, :]
+        + (1.0 - xs)[None, :] * np.minimum(gy_col, phi_lim[None, :])
+        + inner
+        - (xs * h_lim)[None, :]
+    )
+
+    comp2 = np.minimum(phi_one, h_lim)
+    branch2 = (
+        ig[None, :]
+        + ((1.0 - xs) * comp2)[None, :]
+        + (1.0 - xs)[None, :] * np.minimum(gy_col, 1.0 - g_lim[None, :])
+    )
+
+    return np.minimum(branch1, branch2).min(axis=1)
+
+
+def reference_over_tau(
+    y_u: float, thetas: np.ndarray, charging: ChargingFunction,
+    coarse_step: float = 1e-3,
+) -> np.ndarray:
+    """psi1 minimised over the coarse tau grid cut to tau >= theta, per theta."""
+    taus = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
+    th, side = thetas[:, None], Side.JUST_BELOW
+    tau = np.maximum(taus, th)
+    return psi1(y_u, th, tau, charging, theta_side=side, tau_side=side).min(axis=1)

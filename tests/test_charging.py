@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fomlab import charging as charging_mod
 from fomlab.charging import (
     B2_CONSTANTS,
+    MAX_GRID_POINTS,
     CAPPED,
     EXPONENTIAL,
     PIECEWISE,
@@ -25,6 +28,12 @@ from fomlab.charging import (
 )
 from fomlab.engine import Side
 from fomlab.errors import ChargingInvalid, OutOfDomain, TooLarge
+
+from reference_charging import (
+    reference_f_bipartite,
+    reference_f_general,
+    reference_over_tau,
+)
 
 
 def test_exponential_at_zero():
@@ -339,3 +348,94 @@ def test_property_report_dict_order():
         "passed",
     ]
     assert all(type(v) is bool for v in report.values())
+
+
+# -- row-blocked kernels against the whole-matrix references -----------------
+
+ALL_KINDS = (EXPONENTIAL, PIECEWISE, CAPPED)
+KERNELS = [
+    (charging_mod._f_general_matrix, reference_f_general),
+    (charging_mod._f_bipartite_matrix, reference_f_bipartite),
+]
+
+
+def _y_rows(grid: BoundGrid) -> list:
+    """y arrays of 1, one block minus one, one block, one block plus one
+    row (random points with both ends of [0, 1]), and the whole axis."""
+    rng = np.random.default_rng(11)
+    ys = []
+    for size in (1, 31, 32, 33):
+        y = rng.random(size)
+        y[0] = 1.0
+        if size > 1:
+            y[-1] = 0.0
+        ys.append(y)
+    return ys + [grid.axis()]
+
+
+@pytest.mark.parametrize("step", [1e-2, 1e-3, 5e-4])
+@pytest.mark.parametrize("kernel, reference", KERNELS)
+def test_blocked_kernels_match_whole_matrix(kernel, reference, step):
+    grid = BoundGrid(step)
+    for ch in ALL_KINDS:
+        for y in _y_rows(grid):
+            assert np.array_equal(kernel(y, ch, grid), reference(y, ch, grid))
+
+
+@pytest.mark.parametrize("step", [1e-2, 1e-3, 5e-4])
+def test_blocked_ratios_match_whole_matrix(step):
+    # every kind through both bounds, as EXPONENTIAL through the general one
+    grid = BoundGrid(step)
+    ys = grid.axis()
+    for ch in ALL_KINDS:
+        want_general = float(np.trapezoid(reference_f_general(ys, ch, grid), ys))
+        want_bipartite = float(np.trapezoid(reference_f_bipartite(ys, ch, grid), ys))
+        assert repr(ratio_general(ch, grid)) == repr(want_general)
+        assert repr(ratio_bipartite(ch, grid)) == repr(want_bipartite)
+
+
+@pytest.mark.parametrize("y_u", [0.0, 0.5, 0.9, 1.0])
+def test_blocked_minimize_psi1_matches_whole_matrix(y_u, monkeypatch):
+    seen = []
+    grid_argmin = charging_mod._grid_argmin
+
+    def spy(fn, coarse_step):
+        seen.append(fn)
+        return grid_argmin(fn, coarse_step)
+
+    monkeypatch.setattr(charging_mod, "_grid_argmin", spy)
+    rng = np.random.default_rng(5)
+    for ch in ALL_KINDS:
+        seen.clear()
+        got = minimize_psi1(y_u, ch)
+        want = grid_argmin(lambda th: reference_over_tau(y_u, th, ch), 1e-3)
+        assert repr(got) == repr(want)
+        (over_tau,) = seen
+        full = np.clip(np.arange(0.0, 1.0 + 5e-4, 1e-3), 0.0, 1.0)
+        for thetas in [rng.random(k) for k in (1, 31, 32, 33)] + [full]:
+            assert np.array_equal(
+                over_tau(thetas), reference_over_tau(y_u, thetas, ch)
+            )
+
+
+def test_bound_values_pinned():
+    assert repr(ratio_general(PIECEWISE, BoundGrid(5e-4))) == "0.5211839337762498"
+    assert repr(ratio_bipartite(EXPONENTIAL, BoundGrid(5e-4))) == "0.5541790944026251"
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_bound_kernels_memory_stays_flat():
+    # numpy reports its buffers to tracemalloc; the whole-matrix forms in
+    # reference_charging.py peak at about 1,145 / 382 / 47 MiB on these calls
+    finest = BoundGrid(1.0 / (MAX_GRID_POINTS - 1))
+    assert _traced_peak_mib(lambda: ratio_general(PIECEWISE, finest)) < 32
+    assert _traced_peak_mib(lambda: ratio_bipartite(EXPONENTIAL, finest)) < 32
+    assert _traced_peak_mib(lambda: minimize_psi1(1.0, PIECEWISE)) < 8

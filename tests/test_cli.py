@@ -283,19 +283,24 @@ def test_check_charging_bad_grid():
 
 
 def _cap_address_space():
-    # if the grid check ever goes, fail with MemoryError instead of using ~80 GB
+    # keep a 4 GB cap on the child in case a bound ever builds whole matrices
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
 
 
 def test_check_charging_tiny_grid_exits_2():
-    # a 1e-5 step would need 100,001-point axes and ~80 GB per array
+    # a 1e-5 step would need 100,001-point axes; the bounds take O(points^2)
+    # time (about 0.5 s at 2e-4), so without the grid check it runs for minutes
     start = time.perf_counter()
-    res = subprocess.run(
-        CLI + ["check-charging", "--grid", "1e-5"],
-        capture_output=True, text=True, preexec_fn=_cap_address_space,
-    )
+    try:
+        res = subprocess.run(
+            CLI + ["check-charging", "--grid", "1e-5"],
+            capture_output=True, text=True, preexec_fn=_cap_address_space,
+            timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("check-charging --grid 1e-5 ran past 60 s")
     assert time.perf_counter() - start < 30
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
