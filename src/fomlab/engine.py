@@ -6,8 +6,8 @@ The deadline vertex of each matched pair is labeled active, its partner
 passive.  `run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
 scalar engine in the test suite.  It works on integer rank positions
-(`rank_positions`), vertex-major, so that each deadline is one contiguous
-gather of its neighbours' positions and one min.
+(`rank_positions`), vertex-major, so that each deadline is one gather of its
+later-deadline neighbours' positions (`Instance.later`) and one min.
 """
 
 from __future__ import annotations
@@ -204,6 +204,9 @@ def run_ranking_batch(
     trials, n = ranks_matrix.shape
     if n != instance.n:
         raise RankMissing(f"rank matrix covers {n} of {instance.n} vertices")
+    # built before K and V, so that its scratch does not add to their peak
+    later_ptr, later = instance.later
+    ptr = later_ptr.tolist()
     K, V = rank_positions(ranks_matrix)
     if removed is not None:
         if not 0 <= removed < n:
@@ -211,18 +214,20 @@ def run_ranking_batch(
         K[removed] = n
     partner = np.full((n, trials), -1, dtype=np.int32)
     active = np.zeros((n, trials), dtype=bool)
-    # K[v] = n marks v matched or removed
+    # K[u] = n marks u matched or removed; no step after v's deadline reads K[v]
     for v in instance.deadline_order:
-        nbrs = instance.neighbors(v)
-        if not len(nbrs):
+        lo, hi = ptr[v], ptr[v + 1]
+        if lo == hi:
             continue
-        best = K[nbrs].min(axis=0)
+        # where v is still free, each earlier-deadline neighbour had v as a
+        # candidate at its own deadline and left it matched, so only the
+        # later-deadline neighbours can be free
+        best = K[later[lo:hi]].min(axis=0)
         # v decides where both v and its best neighbour are still unmatched
         rows = np.flatnonzero(np.maximum(K[v], best) < n)
         chosen = V[best[rows], rows]
         partner[v, rows] = chosen
         partner[chosen, rows] = v
         active[v, rows] = True
-        K[v, rows] = n
         K[chosen, rows] = n
     return partner.T, active.T

@@ -58,9 +58,10 @@ class Instance:
     int32 with u < v in each row and the rows sorted, and `indptr`/`indices`
     are its CSR adjacency, vertex v's neighbours being
     `indices[indptr[v]:indptr[v + 1]]` in ascending order.  The tuple views
-    `edges` and `adj` are built on first use and cached; they take no part in
-    equality, hashing or repr.  Make instances with `build_instance` and
-    treat every field as read-only.
+    `edges` and `adj` and the later-deadline CSR `later` are built on first
+    use and cached; they take no part in equality, hashing or repr.  Make
+    instances with `build_instance`; its arrays, and those of `later`, are
+    read-only (a write raises ValueError), so the caches cannot go stale.
     """
 
     n: int
@@ -88,6 +89,20 @@ class Instance:
         ptr = self.indptr.tolist()
         flat = self.indices.tolist()
         return tuple(tuple(flat[ptr[v] : ptr[v + 1]]) for v in range(self.n))
+
+    @cached_property
+    def later(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's later-deadline neighbours as a CSR `(indptr,
+        indices)`: the adjacency rows masked to the neighbours whose
+        deadline comes after the vertex's, so still ascending."""
+        dpos = np.array(self.deadline_pos, dtype=np.int32)
+        keep = dpos[self.indices] > np.repeat(dpos, np.diff(self.indptr))
+        # each edge is a later-deadline entry of its earlier-deadline endpoint
+        first, second = self.edge_array.T
+        earlier = np.where(dpos[first] < dpos[second], first, second)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(earlier, minlength=self.n), out=indptr[1:])
+        return _read_only(indptr), _read_only(self.indices[keep])
 
     def neighbors(self, v: int) -> np.ndarray:
         """v's ascending neighbours: a view into `indices`."""
@@ -122,6 +137,18 @@ class Instance:
         return hash(
             (self.n, self.events, self.bipartition, self.edge_array.tobytes())
         )
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle protocols below 5 restore arrays writeable
+        arrays = (state["edge_array"], state["indptr"], state["indices"])
+        for array in arrays + state.get("later", ()):
+            _read_only(array)
+        self.__dict__.update(state)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _edge_pairs(edges) -> np.ndarray:
@@ -242,12 +269,12 @@ def build_instance(
         n=n,
         events=tuple(events),
         bipartition=bip,
-        edge_array=edge_array,
+        edge_array=_read_only(edge_array),
         arrival_pos=tuple(arrival_pos),
         deadline_pos=tuple(deadline_pos),
         deadline_order=tuple(np.argsort(dpos).tolist()),
-        indptr=indptr,
-        indices=(entries % n).astype(np.int32),
+        indptr=_read_only(indptr),
+        indices=_read_only((entries % n).astype(np.int32)),
     )
 
 

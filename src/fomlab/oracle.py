@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,14 +27,33 @@ class OracleResult:
 
 
 def _check_witness(instance: Instance, witness) -> None:
+    """Raise InvariantViolated unless `witness` is a matching of the
+    instance's edges, naming the first bad edge in sorted witness order.
+
+    One search of the witness keys in the sorted edge keys and one endpoint
+    count; the edges are walked one at a time only to name a fault.
+    """
+    n = instance.n
+    pairs = np.fromiter(chain.from_iterable(witness), np.int64).reshape(-1, 2)
+    u, v = pairs.T
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    first, second = instance.edge_array.T
+    edge_keys = first.astype(np.int64) * n + second
+    at = np.searchsorted(edge_keys, keys)
+    in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n)
+    if (
+        (in_range & (at < len(edge_keys))).all()
+        and (edge_keys[at] == keys).all()
+        and np.bincount(pairs.ravel(), minlength=n).max(initial=0) <= 1
+    ):
+        return
     used: set[int] = set()
-    for u, v in witness:
+    for u, v in sorted(witness):
         if not instance.has_edge(u, v):
             raise InvariantViolated(f"witness edge {(u, v)} not in graph")
         if u in used or v in used:
             raise InvariantViolated("witness is not a matching")
-        used.add(u)
-        used.add(v)
+        used.update((u, v))
 
 
 def _greedy_start(instance: Instance) -> list[int]:

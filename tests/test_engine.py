@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,15 @@ from fomlab.hardness import (
     gen_adversary_tree,
     gen_ranking_hard,
 )
-from fomlab.instance import A, D, EventKind, build_instance, random_instance
+from fomlab.instance import (
+    A,
+    D,
+    EventKind,
+    build_instance,
+    from_one_sided,
+    random_instance,
+    random_one_sided,
+)
 from fomlab.oracle import max_matching_general
 
 
@@ -252,6 +262,16 @@ def _argmin_kernel(instance, ranks_matrix, removed=None):
     return partner, active
 
 
+def _interleaved():
+    """Arrivals and deadlines interleaved, with edges to earlier and later
+    deadlines from most vertices, and two isolated vertices (7 and 8)."""
+    events = [A(0), A(1), A(2), D(0), A(3), A(4), D(2), A(7), A(5), D(1),
+              A(6), D(4), D(7), A(8), D(3), D(8), D(6), D(5)]
+    edges = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4), (3, 5),
+             (1, 5), (4, 5), (4, 6), (3, 6), (5, 6)]
+    return build_instance(9, events, edges)
+
+
 def _kernel_instances():
     out = list(small_instance_collection())
     out.append(gen_ranking_hard(LayeredParams(k=10, h=6)))
@@ -260,6 +280,12 @@ def _kernel_instances():
         [(20, False), (40, True), (60, False), (100, True), (160, False), (160, True)]
     ):
         out.append(random_instance(n, min(1.0, 6.0 / n), bipartite, 40 + i))
+    # every offline vertex's later-deadline row is empty
+    out += [random_one_sided(12, 0.3, 5), random_one_sided(30, 0.2, 6)]
+    out.append(from_one_sided(4, [[0, 1], [], [1, 2, 3], [0, 3], [2]]))
+    out.append(_interleaved())
+    out.append(build_instance(4, [A(0), A(1), D(1), A(2), D(0), A(3), D(3), D(2)], []))
+    out.append(build_instance(0, [], []))
     return out
 
 
@@ -275,7 +301,7 @@ def test_rank_position_kernel_matches_argmin_kernel(rows):
     for inst in _kernel_instances():
         plain = rng.random((rows, inst.n))
         for matrix in (plain, _with_ties(plain)):
-            for removed in (None, int(rng.integers(inst.n))):
+            for removed in (None, int(rng.integers(inst.n))) if inst.n else (None,):
                 want = _argmin_kernel(inst, matrix, removed)
                 # default argsort blocks, then blocks of 32 rows
                 for block_elements in (engine.ARGSORT_ELEMENTS, 32 * inst.n):
@@ -286,6 +312,37 @@ def test_rank_position_kernel_matches_argmin_kernel(rows):
                     assert got[0].dtype == np.int32 and got[1].dtype == bool
                     assert np.array_equal(got[0], want[0]), (inst.n, removed)
                     assert np.array_equal(got[1], want[1]), (inst.n, removed)
+
+
+def test_later_rows_are_the_later_deadline_neighbours():
+    for inst in _kernel_instances():
+        ptr, later = inst.later
+        assert ptr.dtype == np.int64 and later.dtype == np.int32
+        assert ptr[0] == 0 and (np.diff(ptr) >= 0).all()
+        for v in range(inst.n):
+            want = [
+                u for u in inst.adj[v] if inst.deadline_pos[u] > inst.deadline_pos[v]
+            ]
+            assert later[ptr[v] : ptr[v + 1]].tolist() == want
+        assert ptr[-1] == inst.m == len(later)
+
+
+def test_pickled_instance_keeps_later_and_kernel_output():
+    inst = random_instance(50, 0.15, False, 8)
+    assert "later" not in inst.__dict__
+    inst.later
+    copy = pickle.loads(pickle.dumps(inst))
+    assert "later" in copy.__dict__
+    assert copy == inst and hash(copy) == hash(inst)
+    for got, want in zip(copy.later, inst.later):
+        assert np.array_equal(got, want)
+    matrix = _with_ties(np.random.default_rng(8).random((40, inst.n)))
+    for removed in (None, 7):
+        for got, want in zip(
+            run_ranking_batch(copy, matrix, removed),
+            run_ranking_batch(inst, matrix, removed),
+        ):
+            assert np.array_equal(got, want)
 
 
 def test_rank_positions_order_ties_by_vertex_id():

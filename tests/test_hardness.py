@@ -342,3 +342,34 @@ def test_per_trial_ranking_matches_scalar_reference(source):
         ranks = np.random.default_rng([seed, t, 1]).random(inst.n)
         want.append(run_ranking(inst, ranks_from_values(ranks)).size / _opt(inst))
     assert empirical_ratio(source, "ranking", trials, seed) == _mean_stderr(want)
+
+
+@pytest.mark.parametrize(
+    "source, trials, seed, want",
+    [
+        (
+            gen_ranking_hard(LayeredParams(k=10, h=6)),
+            200,
+            7,
+            "(0.63175, 0.0019506670393434119)",
+        ),
+        (
+            lambda t: gen_adversary_tree(AdversaryTreeParams(k=3, h=3, seed=100 + t)),
+            16,
+            3,
+            "(0.634375, 0.010427078130201837)",
+        ),
+        (
+            random_instance(60, 0.1, False, 5),
+            500,
+            11,
+            "(0.8713793103448275, 0.0015258830049079712)",
+        ),
+    ],
+    ids=["layered", "adversary-tree", "general"],
+)
+def test_ranking_ratio_outputs_are_pinned(source, trials, seed, want):
+    # values of the full-neighbourhood batch kernel: the later-deadline gather
+    # must not move a single bit of them
+    for workers in (1, 2):
+        assert repr(empirical_ratio(source, "ranking", trials, seed, workers)) == want

@@ -209,3 +209,16 @@ def test_layered_ratio_builds_no_tuple_views():
     empirical_ratio(inst, "ranking", 16, 0, workers=1)
     assert "adj" not in inst.__dict__
     assert "edges" not in inst.__dict__
+
+
+def test_instance_arrays_are_read_only():
+    # the kernel caches `later` from `indices`; a write would leave it stale
+    inst = random_instance(20, 0.3, False, 4)
+    inst.later
+    copy = pickle.loads(pickle.dumps(inst))  # protocol 4 restores arrays writeable
+    for each in (inst, copy):
+        for array in (each.edge_array, each.indptr, each.indices, *each.later):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        with pytest.raises(ValueError):
+            each.neighbors(3)[:] = 0

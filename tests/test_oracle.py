@@ -261,6 +261,32 @@ def test_witness_check_rejects_non_matching():
     _check_witness(path(4), {(0, 1), (2, 3)})
 
 
+@pytest.mark.parametrize(
+    "witness, message",
+    [
+        ({(0, 1), (2, 4)}, r"witness edge \(2, 4\) not in graph"),
+        ({(1, 0), (5, 3)}, r"witness edge \(5, 3\) not in graph"),
+        ({(0, 1), (-1, 2)}, r"witness edge \(-1, 2\) not in graph"),
+        ({(0, 1), (4, 6)}, r"witness edge \(4, 6\) not in graph"),
+        ({(2, 3), (3, 4), (0, 1)}, "witness is not a matching"),
+        ({(1, 2), (0, 1)}, "witness is not a matching"),
+        # the first bad edge in sorted order decides which fault is named
+        ({(3, 4), (0, 1), (1, 2), (9, 7)}, "witness is not a matching"),
+        ({(3, 4), (0, 1), (1, 5), (4, 5)}, r"witness edge \(1, 5\) not in graph"),
+    ],
+)
+def test_witness_check_names_the_first_bad_edge(witness, message):
+    with pytest.raises(InvariantViolated, match=f"^{message}$"):
+        _check_witness(path(6), witness)
+
+
+def test_witness_check_accepts_matchings():
+    for inst in (path(6), path(1), _all_present(0, [])):
+        _check_witness(inst, frozenset())
+    _check_witness(path(6), {(1, 0), (2, 3), (5, 4)})
+    _check_witness(path(6), frozenset({(2, 1), (3, 4)}))
+
+
 def test_import_does_not_load_networkx():
     code = (
         "import sys\n"
