@@ -27,7 +27,14 @@ RECURRENCE_TOL = 1e-12
 
 MAX_EDGES = 1 << 24
 """Edge budget of the generated hardness instances, about 34 times the
-layered k=100, h=50 instance (495,000 edges)."""
+layered k=100, h=50 instance (495,000 edges).
+
+Generating and building an instance peaks at 62 to 66 B per edge
+(tracemalloc, layered and adversary-tree instances of 0.5 to 2 million
+edges), so about 1 GiB at the budget; the instance keeps 16 B per edge, its
+edge array and CSR indices.  While the build sorted both orientations of
+every edge as int64 keys, it peaked at about 140 B per edge, 2.2 GiB at the
+budget."""
 
 MAX_LEAVES = 1 << 23
 """Leaf budget of `adversary_ratio`, whose harmonic sum takes a step per leaf."""
@@ -139,9 +146,11 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
     # b_i sees the suffix a_order[i:]
     rows, cols = np.triu_indices(len(a_order))
     edges = np.concatenate(
-        [np.array(tree_edges, dtype=np.int64).reshape(-1, 2),
-         np.stack([first_b + rows, a_order[cols]], axis=1)]
+        [np.array(tree_edges, dtype=np.int32).reshape(-1, 2),
+         np.stack([first_b + rows, a_order[cols]], axis=1)],
+        dtype=np.int32,
     )
+    del rows, cols  # int64 scratch, twice the size of the triangle's edges
 
     seen_deadlines = {ev.vertex for ev in events if ev.kind.value == "deadline"}
     for v in range(len(color)):
@@ -157,11 +166,13 @@ def gen_ranking_hard(params: LayeredParams) -> Instance:
     n = k * h
     parity = np.arange(n) // k % 2
     color = np.concatenate([parity, 1 - parity]).tolist()
-    pendants = np.stack([np.arange(n), n + np.arange(n)], axis=1)
+    ids = np.arange(n, dtype=np.int32)
+    edges = np.empty((params.edge_count, 2), dtype=np.int32)
+    edges[:n] = np.stack([ids, n + ids], axis=1)  # the pendants
     # vertex i of every group but the last meets all k of the next group
-    src = np.repeat(np.arange(n - k), k)
-    dst = src // k * k + k + np.tile(np.arange(k), n - k)
-    edges = np.concatenate([pendants, np.stack([src, dst], axis=1)])
+    src, dst = edges[n:].T
+    src[:] = np.repeat(ids[: n - k], k)
+    dst[:] = src // k * k + k + np.tile(ids[:k], n - k)
     events = [A(v) for v in range(2 * n)] + [D(v) for v in range(2 * n)]
     return build_instance(2 * n, events, edges, color)
 

@@ -230,12 +230,15 @@ def build_instance(
     head = int(np.argmax(out)) if out.any() else len(pairs)
     lo = np.minimum(u[:head], v[:head]).astype(np.int64)
     hi = np.maximum(u[:head], v[:head]).astype(np.int64)
-    keys = lo * n + hi
-    sorted_keys = np.sort(keys)
-    apos = np.array(arrival_pos, dtype=np.int64)
-    dpos = np.array(deadline_pos, dtype=np.int64)
+    apos = np.array(arrival_pos, dtype=np.int32)
+    dpos = np.array(deadline_pos, dtype=np.int32)
     loop = lo == hi
+    # the model-guarantee gathers run before the keys exist, so that their
+    # scratch does not add to the keys' peak
     late = np.maximum(apos[lo], apos[hi]) > np.minimum(dpos[lo], dpos[hi])
+    keys = lo * n + hi
+    del lo, hi
+    sorted_keys = np.sort(keys)
     if (
         head < len(pairs)
         or loop.any()
@@ -243,8 +246,12 @@ def build_instance(
         or (sorted_keys[1:] == sorted_keys[:-1]).any()
     ):
         _raise_first_fault(keys, loop, late, head, pairs, n)
-    first, second = np.divmod(sorted_keys, n)
-    edge_array = np.stack([first, second], axis=1).astype(np.int32)
+    del keys, loop, late
+    m = len(sorted_keys)
+    edge_array = np.empty((m, 2), dtype=np.int32)
+    first, second = edge_array.T
+    np.divmod(sorted_keys, n, out=(first, second))
+    del sorted_keys
 
     bip: Optional[tuple[int, ...]] = None
     if bipartition is not None:
@@ -257,13 +264,23 @@ def build_instance(
             raise MalformedEvents(f"edge ({a}, {b}) does not cross the bipartition")
         bip = tuple(int(s) for s in bipartition)
 
-    # both orientations of every edge, sorted by (row, column)
-    entries = np.sort(np.concatenate([sorted_keys, second * n + first]))
+    # row v holds v's lower neighbours, then its higher ones, each ascending
+    above = np.bincount(first, minlength=n)
+    below = np.bincount(second, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(first, minlength=n) + np.bincount(second, minlength=n),
-        out=indptr[1:],
-    )
+    np.cumsum(above + below, out=indptr[1:])
+    indices = np.empty(2 * m, dtype=np.int32)
+    # the edge array lists the higher neighbours row by row: edge i lands
+    # after every lower neighbour of the rows up to its first endpoint
+    indices[np.cumsum(below)[first] + np.arange(m)] = second
+    # sorted by (second, first), the edges list the lower neighbours row by
+    # row: edge j lands after every higher neighbour of the rows before its
+    # second endpoint
+    lower = second.astype(np.int64) * n + first
+    lower.sort()
+    row, column = np.divmod(lower, n)
+    del lower
+    indices[(np.cumsum(above) - above)[row] + np.arange(m)] = column
 
     return Instance(
         n=n,
@@ -274,7 +291,7 @@ def build_instance(
         deadline_pos=tuple(deadline_pos),
         deadline_order=tuple(np.argsort(dpos).tolist()),
         indptr=_read_only(indptr),
-        indices=_read_only((entries % n).astype(np.int32)),
+        indices=_read_only(indices),
     )
 
 

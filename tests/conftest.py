@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -17,6 +18,17 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
 )
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak traced heap of calling fn, in MiB; numpy reports its buffers to
+    tracemalloc, so this bounds a call's array scratch."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def triangle() -> Instance:

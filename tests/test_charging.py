@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from fomlab.charging import (
 from fomlab.engine import Side
 from fomlab.errors import ChargingInvalid, OutOfDomain, TooLarge
 
+from conftest import traced_peak_mib
 from reference_charging import (
     reference_f_bipartite,
     reference_f_general,
@@ -423,19 +423,10 @@ def test_bound_values_pinned():
     assert repr(ratio_bipartite(EXPONENTIAL, BoundGrid(5e-4))) == "0.5541790944026251"
 
 
-def _traced_peak_mib(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
 def test_bound_kernels_memory_stays_flat():
     # numpy reports its buffers to tracemalloc; the whole-matrix forms in
     # reference_charging.py peak at about 1,145 / 382 / 47 MiB on these calls
     finest = BoundGrid(1.0 / (MAX_GRID_POINTS - 1))
-    assert _traced_peak_mib(lambda: ratio_general(PIECEWISE, finest)) < 32
-    assert _traced_peak_mib(lambda: ratio_bipartite(EXPONENTIAL, finest)) < 32
-    assert _traced_peak_mib(lambda: minimize_psi1(1.0, PIECEWISE)) < 8
+    assert traced_peak_mib(lambda: ratio_general(PIECEWISE, finest)) < 32
+    assert traced_peak_mib(lambda: ratio_bipartite(EXPONENTIAL, finest)) < 32
+    assert traced_peak_mib(lambda: minimize_psi1(1.0, PIECEWISE)) < 8

@@ -29,6 +29,7 @@ from fomlab.instance import (
     random_instance,
     random_one_sided,
 )
+from conftest import traced_peak_mib
 from reference_instance import (
     reference_adversary_tree,
     reference_build,
@@ -52,6 +53,14 @@ def _assert_matches_reference(inst, raw):
         assert inst.neighbors(v).tolist() == list(ref["adj"][v])
 
 
+def _assert_same_arrays(inst, other):
+    """Equal instances with bitwise equal edge and CSR arrays, dtypes included."""
+    assert inst == other
+    for name in ("edge_array", "indptr", "indices"):
+        a, b = getattr(inst, name), getattr(other, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def _scrambled(edges, seed):
     """The same edges in another order, some flipped."""
     rng = np.random.default_rng(seed)
@@ -67,10 +76,41 @@ def test_random_instances_match_reference_on_the_same_stream(bipartite):
                 raw = reference_random(n, p, bipartite, seed)
                 inst = random_instance(n, p, bipartite, seed)
                 _assert_matches_reference(inst, raw)
-                scrambled = _scrambled(raw[2], seed)
-                assert build_instance(n, raw[1], scrambled, raw[3]) == inst
-                as_array = np.array(scrambled, dtype=np.int32).reshape(-1, 2)
-                assert build_instance(n, raw[1], as_array, raw[3]) == inst
+                flipped = [(v, u) for u, v in raw[2]]
+                for each in (_scrambled(raw[2], seed), flipped):
+                    _assert_same_arrays(build_instance(n, raw[1], each, raw[3]), inst)
+                    for dtype in (np.int8, np.uint16, np.int32, np.int64):
+                        as_array = np.array(each, dtype=dtype).reshape(-1, 2)
+                        other = build_instance(n, raw[1], as_array, raw[3])
+                        _assert_same_arrays(other, inst)
+
+
+def test_vertices_of_degree_zero_keep_empty_rows():
+    # the first, a middle and the last vertex have no edges
+    n = 9
+    events = [A(v) for v in range(n)] + [D(v) for v in range(n)]
+    edges = [(5, 1), (2, 7), (1, 2), (7, 6), (3, 5), (1, 7)]
+    inst = build_instance(n, events, edges)
+    _assert_matches_reference(inst, (n, events, edges, None))
+    assert np.diff(inst.indptr)[[0, 4, 8]].tolist() == [0, 0, 0]
+
+
+def test_wide_instance_keys_do_not_wrap():
+    # at n = 65,537 the key u * n + v of an edge on the top ids passes 2^32
+    n = 65_537
+    events = [A(v) for v in range(n)] + [D(v) for v in range(n)]
+    edges = [(65_536, 65_535), (0, 65_536), (65_534, 65_536), (65_535, 1), (3, 2)]
+    inst = build_instance(n, events, edges)
+    _assert_matches_reference(inst, (n, events, edges, None))
+    for dtype in (np.int32, np.int64):
+        _assert_same_arrays(build_instance(n, events, np.array(edges, dtype=dtype)), inst)
+
+
+def test_hardness_builds_memory_stays_flat():
+    # sorting both orientations of every edge as int64 keys peaks at
+    # 66.5 MiB on the layered k=100, h=50 build (495,000 edges)
+    assert traced_peak_mib(lambda: gen_ranking_hard(LayeredParams(100, 50))) < 40
+    assert traced_peak_mib(lambda: gen_adversary_tree(AdversaryTreeParams(7, 3, 5))) < 7
 
 
 def test_random_instance_spans_several_pair_blocks():
@@ -165,6 +205,15 @@ MALFORMED = [
     (3, LATE, [(0, 1), (1, 0), (0, 2)], None),
     (3, EV3, [(0, 2), (3, 0)], [0, 0, 1]),
     (3, EV3, [(0, 1), (0, 2)], [0, 1, 0]),
+    # integer arrays narrower than int64
+    (3, EV3, np.array([(0, 1), (1, 0)], dtype=np.int32), None),
+    (3, LATE, np.array([(0, 1), (2, 0)], dtype=np.int32), None),
+    (3, EV3, np.array([(2, 2), (0, 1)], dtype=np.int32), None),
+    (3, EV3, np.array([(0, 1), (-1, 2)], dtype=np.int32), None),
+    (3, EV3, np.array([(0, 1), (65_535, 2)], dtype=np.uint16), None),
+    (3, EV3, np.array([(2, 1), (1, 2)], dtype=np.uint16), None),
+    (3, EV3, np.array([(1, 1)], dtype=np.uint16), None),
+    (3, LATE, np.array([(2, 0)], dtype=np.uint16), None),
 ]
 
 
