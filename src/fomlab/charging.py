@@ -52,11 +52,14 @@ CAP_OFFSET = 0.0128
 
 MAX_GRID_POINTS = 5001
 """Largest grid axis, a step of 2e-4.  The bounds take O(points^2) time: the
-general bound needs about 0.5 s there, and each further halving of the step
-quadruples it.  Memory stays O(points) through the row blocks."""
+general bound takes 0.15-0.22 s there (2 vCPU Xeon, numpy 2.4), and each
+further halving of the step quadruples it.  Memory stays O(points) through
+the row blocks (a 3.0 MiB tracemalloc peak for the general bound)."""
 
 _ROW_BLOCK = 32
-"""Rows per block of the dense bound kernels; 32 was the fastest of 32-512."""
+"""Rows per block of the dense bound kernels.  Of 8-128 rows, the general
+bound's medians were 0.060-0.072 s at step 5e-4, 32 and 16 tied fastest,
+and 0.155-0.238 s at 2e-4, 16 fastest, 32 third (2 vCPU Xeon, 2 MiB L2)."""
 
 
 @dataclass(frozen=True)
@@ -342,7 +345,8 @@ def _f_general_matrix(
     constants h never exceeds phi(1-minus), and the clamp never binds.
 
     The rows of y run in blocks of _ROW_BLOCK against theta rows computed
-    once, so memory stays O(len(xs)) while time is O(len(y) * len(xs)).
+    once, through two row buffers allocated once per call, so memory stays
+    O(len(xs)) while time is O(len(y) * len(xs)).
     """
     xs = grid.axis()  # grid point at 1 means the 1-minus limit throughout
     n = len(xs)
@@ -364,16 +368,30 @@ def _f_general_matrix(
     # second branch, no compensation window (tau_m = 1): its y-free part
     base2 = ig + rest * np.minimum(phi_one, h_lim)
     one_minus_g = 1.0 - g_lim
+    # two row buffers for the whole call, each op writing into one of them
+    buf = np.empty((2, min(_ROW_BLOCK, len(y)), n))
 
     def block(rows: slice) -> np.ndarray:
         gy_col = gy[rows, None]
+        a, b = buf[:, : len(gy_col)]
         # first branch: compensation window [theta, tau)
-        inner_a = xh + xs * gy_col  # tau = theta
-        clamp = clamp_window + xs * np.minimum(gy_col, phi_one)
-        inner = np.minimum(np.minimum(inner_a, qsuf), clamp)
-        branch1 = ig + rest * np.minimum(gy_col, phi_lim) + inner - xh
-        branch2 = base2 + rest * np.minimum(gy_col, one_minus_g)
-        return np.minimum(branch1, branch2).min(axis=1)
+        np.multiply(xs, gy_col, out=a)
+        np.add(xh, a, out=a)  # tau = theta
+        np.multiply(xs, np.minimum(gy_col, phi_one), out=b)
+        np.add(clamp_window, b, out=b)  # the clamp at phi(1-minus)
+        np.minimum(a, qsuf, out=a)
+        np.minimum(a, b, out=a)  # inner
+        np.minimum(gy_col, phi_lim, out=b)
+        np.multiply(rest, b, out=b)
+        np.add(ig, b, out=b)
+        np.add(b, a, out=b)
+        np.subtract(b, xh, out=b)  # branch1
+        # second branch, into the free buffer
+        np.minimum(gy_col, one_minus_g, out=a)
+        np.multiply(rest, a, out=a)
+        np.add(base2, a, out=a)
+        np.minimum(b, a, out=b)
+        return b.min(axis=1)
 
     return _by_row_blocks(len(y), block)
 

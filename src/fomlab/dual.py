@@ -35,6 +35,7 @@ from .engine import (
     MatchingOutcome,
     RankAssignment,
     Role,
+    Side,
     run_ranking,
     run_ranking_batch,
     run_without,
@@ -127,20 +128,30 @@ def assign_duals(
         raise ChargingInvalid("charging function fails its required properties")
     outcome = run_ranking(instance, ranks)
     n = instance.n
+    active = [v for v in range(n) if outcome.role[v] is Role.ACTIVE]
+    # g and h at each active vertex's passive partner, one call per side on
+    # the partners' ranks only: a rank off [0, 1] elsewhere is never read
+    g_p = [0.0] * n
+    h_p = [0.0] * n
+    for side in Side:
+        ws = [w for w in active if ranks.sides[outcome.partner[w]] is side]
+        if ws:
+            ys = [ranks.ranks[outcome.partner[w]] for w in ws]
+            for w, g, h in zip(
+                ws, charging.g(ys, side).tolist(), charging.h(ys, side).tolist()
+            ):
+                g_p[w], h_p[w] = g, h
     gain = [0.0] * n
     comp_in = [0.0] * n
     comp_out = [0.0] * n
     victim_of = {}
-    for v in range(n):
-        if outcome.role[v] is not Role.ACTIVE:
-            continue
+    for v in active:
         p = outcome.partner[v]
-        y_p = ranks.ranks[p]
-        gain[v] = 1.0 - charging.g(y_p, ranks.sides[p])
-        gain[p] = charging.g(y_p, ranks.sides[p])
+        gain[v] = 1.0 - g_p[v]
+        gain[p] = g_p[v]
         z = find_victim(instance, ranks, v, outcome)
         if z is not None:
-            amount = charging.h(y_p, ranks.sides[p])
+            amount = h_p[v]
             comp_out[v] = amount
             comp_in[z] += amount
             victim_of[v] = z

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IndexOutOfRange, ParamsInvalid, RankMissing
-from .instance import EventKind, Instance
+from .instance import Instance
 
 
 ARGSORT_ELEMENTS = 1 << 18
@@ -108,39 +108,46 @@ def run_ranking(
     removed: Optional[int] = None,
     with_trace: bool = False,
 ) -> MatchingOutcome:
-    """Lazy Ranking: a deadline vertex takes its min-rank unmatched neighbor."""
-    if len(ranks.ranks) != instance.n:
+    """Lazy Ranking: a deadline vertex takes its min-rank unmatched neighbor.
+
+    The deadlines come in `instance.deadline_order`, the order of the
+    deadline events.  Every unmatched neighbour is a candidate, compared by
+    its `RankAssignment.key`, computed once per vertex and call.
+    """
+    n = instance.n
+    if len(ranks.ranks) != n:
         raise RankMissing(
-            f"rank assignment covers {len(ranks.ranks)} of {instance.n} vertices"
+            f"rank assignment covers {len(ranks.ranks)} of {n} vertices"
         )
-    partner = [-1] * instance.n
-    role: list[Optional[Role]] = [None] * instance.n
+    keys = list(map(ranks.key, range(n)))
+    adj = instance.adj
+    partner = [-1] * n
+    role: list[Optional[Role]] = [None] * n
+    pairs = []
     trace: Optional[list[str]] = [] if with_trace else None
-    for ev in instance.events:
-        v = ev.vertex
-        if ev.kind is not EventKind.DEADLINE or v == removed:
+    for v in instance.deadline_order:
+        if v == removed:
             continue
         if partner[v] >= 0:
             if trace is not None:
                 trace.append(_trace_line(v, partner[v], "already-matched", ranks))
             continue
-        candidates = [
-            u for u in instance.adj[v] if partner[u] < 0 and u != removed
-        ]
-        u = min(candidates, key=ranks.key) if candidates else None
+        candidates = [keys[u] for u in adj[v] if partner[u] < 0 and u != removed]
+        u = min(candidates)[2] if candidates else None
         if u is not None:
             partner[v] = u
             partner[u] = v
             role[v] = Role.ACTIVE
             role[u] = Role.PASSIVE
+            pairs.append((v, u) if v < u else (u, v))
         if trace is not None:
             trace.append(_trace_line(v, u, "match", ranks))
     return MatchingOutcome(
-        pairs=frozenset((v, p) for v, p in enumerate(partner) if 0 <= v < p),
+        pairs=frozenset(pairs),
         partner=tuple(partner),
         role=tuple(role),
         unmatched=frozenset(
-            v for v in range(instance.n) if partner[v] < 0 and v != removed
+            v for v in range(n) if partner[v] < 0 and v != removed
         ),
         trace=tuple(trace) if trace is not None else None,
     )

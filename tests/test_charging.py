@@ -425,8 +425,10 @@ def test_bound_values_pinned():
 
 def test_bound_kernels_memory_stays_flat():
     # numpy reports its buffers to tracemalloc; the whole-matrix forms in
-    # reference_charging.py peak at about 1,145 / 382 / 47 MiB on these calls
+    # reference_charging.py peak at about 1,145 / 382 / 47 MiB on these calls.
+    # The general bound's two row buffers keep it at 3.0-3.9 MiB (the first
+    # call in a process reads highest).
     finest = BoundGrid(1.0 / (MAX_GRID_POINTS - 1))
-    assert traced_peak_mib(lambda: ratio_general(PIECEWISE, finest)) < 32
+    assert traced_peak_mib(lambda: ratio_general(PIECEWISE, finest)) < 5
     assert traced_peak_mib(lambda: ratio_bipartite(EXPONENTIAL, finest)) < 32
     assert traced_peak_mib(lambda: minimize_psi1(1.0, PIECEWISE)) < 8

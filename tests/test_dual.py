@@ -39,11 +39,13 @@ from fomlab.errors import (
     ChargingInvalid,
     InvariantViolated,
     NotActive,
+    OutOfDomain,
     ParamsInvalid,
     RankMissing,
     TooLarge,
 )
 from fomlab.instance import A, D, build_instance, random_instance
+from reference_engine import reference_assign_duals
 
 
 def test_marginal_rank_single_edge():
@@ -290,6 +292,48 @@ def test_assign_duals_checks_each_charging_once_cached():
         with pytest.raises(ChargingInvalid):
             assign_duals(triangle(), ranks, bad)
     assert sum(assign_duals(triangle(), ranks, PIECEWISE).alpha) == pytest.approx(1.0)
+
+
+def test_assign_duals_matches_per_vertex_reference():
+    """Every field equals the per-vertex loop's, which calls g and h once per
+    active vertex, on ties and just-below sides included."""
+    rng = np.random.default_rng(12)
+    for _ in range(120):
+        n = int(rng.integers(1, 15))
+        inst = random_instance(
+            n, float(rng.uniform(0.2, 0.9)), bool(rng.integers(0, 2)),
+            int(rng.integers(0, 2**31 - 1)),
+        )
+        sides = [Side.JUST_BELOW if b else Side.AT for b in rng.integers(0, 2, n)]
+        for values in (rng.random(n), rng.integers(0, 3, n) / 2):
+            for ranks in (ranks_from_values(values), ranks_from_values(values, sides)):
+                for charging in (EXPONENTIAL, PIECEWISE, CAPPED):
+                    got = assign_duals(inst, ranks, charging)
+                    want = reference_assign_duals(inst, ranks, charging)
+                    assert got == want
+                    # Python floats, so that reports print the same digits
+                    for f in (got.alpha, got.gain, got.comp_in, got.comp_out):
+                        assert {type(x) for x in f} == {float}
+
+
+def test_assign_duals_reads_only_the_passive_partners_ranks():
+    # vertex 0 is active and its partner 1 passive on the single edge; in the
+    # triangle 0 takes 1 and leaves 2 unmatched
+    for side in Side:
+        with pytest.raises(OutOfDomain):
+            assign_duals(
+                single_edge(), ranks_from_values([0.4, 1.5], [Side.AT, side]),
+                PIECEWISE,
+            )
+    for inst, values in [
+        (single_edge(), [1.5, 0.4]),
+        (triangle(), [1.5, 0.2, 0.8]),
+        (triangle(), [0.5, 0.2, 1.5]),
+    ]:
+        ranks = ranks_from_values(values)
+        for charging in (EXPONENTIAL, PIECEWISE):
+            got = assign_duals(inst, ranks, charging)
+            assert got == reference_assign_duals(inst, ranks, charging)
 
 
 def test_assign_duals_empty_matching():

@@ -40,6 +40,7 @@ from fomlab.instance import (
     random_one_sided,
 )
 from fomlab.oracle import max_matching_general
+from reference_engine import reference_run_ranking
 
 
 def test_sample_ranks_deterministic():
@@ -183,6 +184,52 @@ def test_trace_format():
         "deadline v=0 decision=match partner=1 rank=0.125",
         "deadline v=1 decision=already-matched partner=0 rank=0.25",
     )
+
+
+def _reference_rank_variants(ranks):
+    """The rank order itself, the order with ties (ranks 0 and 0.5 only), and
+    the tied order with every odd vertex at its just-below side."""
+    tied = [float(int(2 * r)) / 2 for r in ranks.ranks]
+    sides = [Side.JUST_BELOW if v % 2 else Side.AT for v in range(len(tied))]
+    return [ranks, ranks_from_values(tied), ranks_from_values(tied, sides)]
+
+
+def test_run_ranking_matches_event_walk_exhaustively():
+    """Every rank order of every n <= 5 instance, with ties and just-below
+    sides, every removed vertex and traces: the deadline-order walk equals
+    the event walk of the reference."""
+    for inst in small_instance_collection():
+        if inst.n > 5:
+            continue
+        for order in enumerate_rank_orders(inst):
+            for ranks in _reference_rank_variants(order):
+                for removed in [None, *range(inst.n)]:
+                    for with_trace in (False, True):
+                        got = run_ranking(
+                            inst, ranks, removed=removed, with_trace=with_trace
+                        )
+                        want = reference_run_ranking(
+                            inst, ranks, removed=removed, with_trace=with_trace
+                        )
+                        assert got == want
+
+
+def test_run_ranking_matches_event_walk_random():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 15))
+        inst = random_instance(
+            n, float(rng.uniform(0.2, 0.9)), bool(rng.integers(0, 2)),
+            int(rng.integers(0, 2**31 - 1)),
+        )
+        sides = [Side.JUST_BELOW if b else Side.AT for b in rng.integers(0, 2, n)]
+        for values in (rng.random(n), rng.integers(0, 3, n) / 2):
+            ranks = ranks_from_values(values, sides)
+            for removed in (None, int(rng.integers(0, n))):
+                got = run_ranking(inst, ranks, removed=removed, with_trace=True)
+                assert got == reference_run_ranking(
+                    inst, ranks, removed=removed, with_trace=True
+                )
 
 
 def test_batch_matches_scalar_exhaustively():
