@@ -273,13 +273,6 @@ def _f_bipartite_matrix(
     return np.minimum(_by_row_blocks(len(y), block), vals_at_one)
 
 
-def f_bipartite(
-    y_u: float, charging: ChargingFunction, grid: BoundGrid = BoundGrid()
-) -> float:
-    """Per-edge expected-gain lower bound for the bipartite analysis."""
-    return float(_f_bipartite_matrix(np.array([y_u]), charging, grid)[0])
-
-
 def ratio_bipartite(
     charging: ChargingFunction, grid: BoundGrid = BoundGrid()
 ) -> float:
@@ -394,18 +387,6 @@ def _f_general_matrix(
         return b.min(axis=1)
 
     return _by_row_blocks(len(y), block)
-
-
-def f_general(
-    y_u: float,
-    charging: ChargingFunction,
-    grid: BoundGrid = BoundGrid(),
-) -> float:
-    """Per-edge expected-gain lower bound for the general-graph analysis."""
-    _in_unit(y_u)
-    if not check_properties(charging).passed:
-        raise ChargingInvalid("charging function fails its required properties")
-    return float(_f_general_matrix(np.array([y_u]), charging, grid)[0])
 
 
 def ratio_general(

@@ -21,7 +21,7 @@ from . import charging as charging_mod
 from . import hardness as hardness_mod
 from ._parallel import resolve_workers
 from .dual import verify_feasibility
-from .engine import run_greedy, run_ranking, sample_ranks
+from .engine import ranks_from_values, run_ranking, sample_ranks
 from .errors import FomlabError, InvariantViolated
 from .instance import load_instance, random_instance, random_one_sided, save_instance
 from .oracle import max_matching_bipartite, max_matching_general
@@ -167,9 +167,10 @@ def run(instance_path, alg, seed, trace, fmt, out):
     """Run one algorithm execution and report the matching."""
     inst = _load(instance_path)
     if alg == "ranking":
-        outcome = run_ranking(inst, sample_ranks(inst, seed), with_trace=trace)
-    else:
-        outcome = run_greedy(inst)
+        ranks = sample_ranks(inst, seed)
+    else:  # Greedy is Ranking on the arrival positions, as in `run_greedy`
+        ranks = ranks_from_values(inst.arrival_pos)
+    outcome = run_ranking(inst, ranks, with_trace=trace)
     report = {
         "algorithm": alg,
         "seed": seed,
@@ -178,7 +179,7 @@ def run(instance_path, alg, seed, trace, fmt, out):
         "pairs": sorted([u, v] for u, v in outcome.pairs),
         "unmatched": sorted(outcome.unmatched),
     }
-    if trace and outcome.trace is not None:
+    if trace:
         report["trace"] = list(outcome.trace)
     _emit(report, fmt, out)
 

@@ -401,25 +401,6 @@ def _edge_statistics(
     return estimates, cond1_bad
 
 
-def estimate_edge_cover(
-    instance: Instance,
-    edge: tuple[int, int],
-    charging: ChargingFunction,
-    trials: int,
-    seed: int,
-    workers=None,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of E[alpha_u + alpha_v] over fresh rank draws."""
-    e = (min(edge), max(edge))
-    if not instance.has_edge(*e):
-        raise RankMissing(f"edge {e} not in instance")
-    estimates, _ = _edge_statistics(instance, charging, trials, seed, workers)
-    for est in estimates:
-        if (est.u, est.v) == e:
-            return est.mean, est.stderr
-    raise AssertionError("unreachable")
-
-
 def verify_feasibility(
     instance: Instance,
     charging: ChargingFunction,

@@ -19,7 +19,7 @@ from ._parallel import chunk_sizes, run_chunked
 # module, and tests/test_tracing_contract.py checks that the name exists
 from .engine import run_ranking, run_ranking_batch  # noqa: F401
 from .errors import InvariantViolated, ParamsInvalid, TooLarge
-from .instance import A, D, Event, Instance, build_instance
+from .instance import Instance, build_instance
 from .oracle import max_matching_bipartite, max_matching_general
 
 RECURRENCE_TOL = 1e-12
@@ -112,7 +112,7 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
     """
     k, h = params.k, params.h
     rng = np.random.default_rng(params.seed)
-    events: list[Event] = []
+    stream: list[int] = []  # event codes, 2v arrival and 2v + 1 deadline
     tree_edges: list[tuple[int, int]] = []
     color: list[int] = []
 
@@ -121,16 +121,16 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
         return len(color) - 1
 
     root = new_vertex(0)
-    events.append(A(root))
+    stream.append(2 * root)
     frontier = [root]  # current level's u-vertices, in creation order
     for level in range(h):
         next_frontier = []
         for u in frontier:
             children = [new_vertex(1 - color[u]) for _ in range(k + 1)]
             for c in children:
-                events.append(A(c))
+                stream.append(2 * c)
                 tree_edges.append((u, c))
-            events.append(D(u))
+            stream.append(2 * u + 1)
             keep = rng.permutation(k + 1)[:k]  # promoted to next-level u's
             promoted = [children[i] for i in sorted(keep)]
             next_frontier.extend(promoted)
@@ -139,10 +139,8 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
     a_order = np.array(frontier, dtype=np.int64)[rng.permutation(len(frontier))]
     b_color = 1 - color[a_order[0]] if len(a_order) else 0
     first_b = len(color)
-    for _ in a_order:
-        b = new_vertex(b_color)
-        events.append(A(b))
-        events.append(D(b))
+    color.extend([b_color] * len(a_order))
+    stream.extend(range(2 * first_b, 2 * len(color)))  # each b arrives, then leaves
     # b_i sees the suffix a_order[i:]
     rows, cols = np.triu_indices(len(a_order))
     edges = np.concatenate(
@@ -152,11 +150,11 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
     )
     del rows, cols  # int64 scratch, twice the size of the triangle's edges
 
-    seen_deadlines = {ev.vertex for ev in events if ev.kind.value == "deadline"}
-    for v in range(len(color)):
-        if v not in seen_deadlines:
-            events.append(D(v))
-    return build_instance(len(color), events, edges, color)
+    codes = np.array(stream)
+    # the vertices still open leave at the end, in id order
+    still_open = np.setdiff1d(np.arange(len(color)), codes[codes % 2 == 1] // 2)
+    stream = np.concatenate([codes, 2 * still_open + 1])
+    return build_instance(len(color), stream, edges, color)
 
 
 def gen_ranking_hard(params: LayeredParams) -> Instance:
@@ -173,8 +171,9 @@ def gen_ranking_hard(params: LayeredParams) -> Instance:
     src, dst = edges[n:].T
     src[:] = np.repeat(ids[: n - k], k)
     dst[:] = src // k * k + k + np.tile(ids[:k], n - k)
-    events = [A(v) for v in range(2 * n)] + [D(v) for v in range(2 * n)]
-    return build_instance(2 * n, events, edges, color)
+    # every arrival, then every deadline, each in id order
+    stream = np.concatenate([np.arange(0, 4 * n, 2), np.arange(1, 4 * n, 2)])
+    return build_instance(2 * n, stream, edges, color)
 
 
 def adversary_p_sequence(k: int, h: int) -> list[float]:
@@ -303,16 +302,6 @@ def fluid_recurrence(k: int, h: int) -> FluidResult:
     for _ in range(h - 1):
         xs.append(math.exp(-xs[-1]))
     return FluidResult(fractions=tuple(xs), limit=omega_fixed_point())
-
-
-def z_path(k: int, steps: int) -> np.ndarray:
-    """Mean-field fraction of unmatched next-group vertices after t deadlines.
-
-    One deadline consumes the minimum-rank unmatched group vertex with
-    probability Z/(k+1) (otherwise the pendant wins), giving the decay
-    (k/(k+1))^t that converges to exp(-t/k)."""
-    t = np.arange(steps + 1)
-    return (k / (k + 1.0)) ** t
 
 
 def _opt_size(instance: Instance) -> int:

@@ -50,14 +50,20 @@ def D(v: int) -> Event:
     return Event(EventKind.DEADLINE, v)
 
 
+_KINDS = (EventKind.ARRIVAL, EventKind.DEADLINE)
+
+
 @dataclass(frozen=True, eq=False)
 class Instance:
     """Validated, immutable fully online matching instance.
 
-    The edges are stored once, as numpy arrays: `edge_array` is (m, 2)
-    int32 with u < v in each row and the rows sorted, and `indptr`/`indices`
-    are its CSR adjacency, vertex v's neighbours being
-    `indices[indptr[v]:indptr[v + 1]]` in ascending order.  The tuple views
+    The event stream is stored once, as `stream`: 2n int32 codes in stream
+    order, 2v for v's arrival and 2v + 1 for its deadline; the position
+    tuples and `deadline_order` are derived from it.  The edges are stored
+    once, as numpy arrays: `edge_array` is (m, 2) int32 with u < v in each
+    row and the rows sorted, and `indptr`/`indices` are its CSR adjacency,
+    vertex v's neighbours being `indices[indptr[v]:indptr[v + 1]]` in
+    ascending order.  The views `events` (the stream as Event objects),
     `edges` and `adj` and the later-deadline CSR `later` are built on first
     use and cached; they take no part in equality, hashing or repr.  Make
     instances with `build_instance`; its arrays, and those of `later`, are
@@ -65,7 +71,7 @@ class Instance:
     """
 
     n: int
-    events: tuple[Event, ...]
+    stream: np.ndarray
     bipartition: Optional[tuple[int, ...]]
     edge_array: np.ndarray
     arrival_pos: tuple[int, ...] = field(repr=False)
@@ -77,6 +83,11 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.edge_array)
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        """The stream as Event objects."""
+        return tuple(Event(_KINDS[c & 1], c >> 1) for c in self.stream.tolist())
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -128,19 +139,19 @@ class Instance:
             return NotImplemented
         return (
             self.n == other.n
-            and self.events == other.events
+            and np.array_equal(self.stream, other.stream)
             and self.bipartition == other.bipartition
             and np.array_equal(self.edge_array, other.edge_array)
         )
 
     def __hash__(self) -> int:
         return hash(
-            (self.n, self.events, self.bipartition, self.edge_array.tobytes())
+            (self.n, self.stream.tobytes(), self.bipartition, self.edge_array.tobytes())
         )
 
     def __setstate__(self, state: dict) -> None:
         # pickle protocols below 5 restore arrays writeable
-        arrays = (state["edge_array"], state["indptr"], state["indices"])
+        arrays = tuple(state[k] for k in ("stream", "edge_array", "indptr", "indices"))
         for array in arrays + state.get("later", ()):
             _read_only(array)
         self.__dict__.update(state)
@@ -191,37 +202,49 @@ def _raise_first_fault(keys, loop, late, head, pairs, n) -> None:
 
 def build_instance(
     n: int,
-    events: Sequence[Event],
+    events,
     edges,
     bipartition: Optional[Sequence[int]] = None,
 ) -> Instance:
     """Validate the raw pieces and assemble an Instance.
 
-    `edges` is an iterable of (u, v) pairs or an (m, 2) integer array, in
-    any order and orientation.  Raises MalformedEvents, IndexOutOfRange,
-    SelfLoop, DuplicateEdge or EdgeViolatesModel when the input breaks the
-    model's guarantees; the edge error is the one met first when the edges
-    are checked one at a time in input order.
+    `events` is the stream as a sequence of Events or as a 1-D integer array
+    of codes, 2v for v's arrival and 2v + 1 for its deadline (an object
+    array of Python ints for codes beyond int64).  `edges` is an iterable of
+    (u, v) pairs or an (m, 2) integer array, in any order and orientation.
+    Raises MalformedEvents, IndexOutOfRange, SelfLoop, DuplicateEdge or
+    EdgeViolatesModel when the input breaks the model's guarantees; the
+    event and edge errors are the ones met first when the events, then the
+    edges, are checked one at a time in input order.
     """
     if n < 0:
         raise MalformedEvents(f"negative vertex count {n}")
-    if len(events) != 2 * n:
-        raise MalformedEvents(f"expected {2 * n} events, got {len(events)}")
-
-    arrival_pos = [-1] * n
-    deadline_pos = [-1] * n
-    for pos, ev in enumerate(events):
-        if not (0 <= ev.vertex < n):
-            raise MalformedEvents(f"event vertex {ev.vertex} out of range [0, {n})")
-        slot = arrival_pos if ev.kind is EventKind.ARRIVAL else deadline_pos
-        if slot[ev.vertex] != -1:
-            raise MalformedEvents(f"duplicate {ev.kind.value} for vertex {ev.vertex}")
-        slot[ev.vertex] = pos
-    for v in range(n):
-        if arrival_pos[v] == -1 or deadline_pos[v] == -1:
-            raise MalformedEvents(f"vertex {v} is missing an arrival or deadline")
-        if arrival_pos[v] > deadline_pos[v]:
-            raise MalformedEvents(f"vertex {v} has its deadline before its arrival")
+    if not isinstance(events, np.ndarray):
+        events = [2 * e.vertex + (e.kind is not EventKind.ARRIVAL) for e in events]
+    codes = np.asarray(events)  # codes beyond int64 make an exact object array
+    if codes.ndim != 1 or (codes.dtype.kind not in "iuO" and codes.size):
+        raise MalformedEvents(f"event codes must be 1-D integers, got {codes.dtype}")
+    if len(codes) != 2 * n:
+        raise MalformedEvents(f"expected {2 * n} events, got {len(codes)}")
+    # per event in stream order: the range check, then the duplicate check
+    out = (codes < 0) | (codes >= 2 * n)
+    head = int(np.argmax(out)) if out.any() else len(codes)
+    stream = codes[:head].astype(np.int32)
+    order = np.argsort(stream, kind="stable")
+    dup = np.zeros(head, dtype=bool)
+    dup[order[1:]] = stream[order[1:]] == stream[order[:-1]]
+    if dup.any():
+        v, deadline = divmod(int(stream[np.argmax(dup)]), 2)
+        raise MalformedEvents(f"duplicate {_KINDS[deadline].value} for vertex {v}")
+    if head < len(codes):
+        v = int(codes[head]) >> 1
+        raise MalformedEvents(f"event vertex {v} out of range [0, {n})")
+    pos = np.empty(2 * n, dtype=np.int32)
+    pos[stream] = np.arange(2 * n, dtype=np.int32)
+    apos, dpos = pos[0::2], pos[1::2]
+    if (apos > dpos).any():
+        v = int(np.argmax(apos > dpos))
+        raise MalformedEvents(f"vertex {v} has its deadline before its arrival")
 
     pairs = _edge_pairs(edges)
     u, v = pairs[:, 0], pairs[:, 1]
@@ -230,8 +253,6 @@ def build_instance(
     head = int(np.argmax(out)) if out.any() else len(pairs)
     lo = np.minimum(u[:head], v[:head]).astype(np.int64)
     hi = np.maximum(u[:head], v[:head]).astype(np.int64)
-    apos = np.array(arrival_pos, dtype=np.int32)
-    dpos = np.array(deadline_pos, dtype=np.int32)
     loop = lo == hi
     # the model-guarantee gathers run before the keys exist, so that their
     # scratch does not add to the keys' peak
@@ -284,11 +305,11 @@ def build_instance(
 
     return Instance(
         n=n,
-        events=tuple(events),
+        stream=_read_only(stream),
         bipartition=bip,
         edge_array=_read_only(edge_array),
-        arrival_pos=tuple(arrival_pos),
-        deadline_pos=tuple(deadline_pos),
+        arrival_pos=tuple(apos.tolist()),
+        deadline_pos=tuple(dpos.tolist()),
         deadline_order=tuple(np.argsort(dpos).tolist()),
         indptr=_read_only(indptr),
         indices=_read_only(indices),
@@ -307,19 +328,17 @@ def from_one_sided(
         raise IndexOutOfRange(f"negative offline count {offline_count}")
     online_count = len(online_adjacency)
     n = offline_count + online_count
-    events: list[Event] = [A(v) for v in range(offline_count)]
     edges: list[tuple[int, int]] = []
     for i, nbrs in enumerate(online_adjacency):
-        v = offline_count + i
-        events.append(A(v))
-        events.append(D(v))
         for off in nbrs:
             if not (0 <= off < offline_count):
                 raise IndexOutOfRange(f"offline neighbor {off} out of range")
-            edges.append((off, v))
-    events.extend(D(v) for v in range(offline_count))
+            edges.append((off, offline_count + i))
+    offline = 2 * np.arange(offline_count)
+    online = np.arange(2 * offline_count, 2 * n)  # each arrival, then its deadline
+    stream = np.concatenate([offline, online, offline + 1])
     bipartition = [0] * offline_count + [1] * online_count
-    return build_instance(n, events, edges, bipartition)
+    return build_instance(n, stream, edges, bipartition)
 
 
 PAIR_BLOCK = 1 << 18
@@ -369,10 +388,8 @@ def random_instance(
     rng = np.random.default_rng(seed)
     slots = np.sort(rng.permutation(2 * n).reshape(n, 2), axis=1)
     apos, dpos = slots[:, 0], slots[:, 1]
-    events: list[Event] = [None] * (2 * n)  # type: ignore[list-item]
-    for v, (a, d) in enumerate(slots.tolist()):
-        events[a] = A(v)
-        events[d] = D(v)
+    # slots maps code 2v + e to its position; the stream is its inverse
+    stream = np.argsort(slots, axis=None)
 
     side = rng.integers(0, 2, size=n) if bipartite else None
 
@@ -391,14 +408,14 @@ def random_instance(
         valid = np.maximum(apos[cu], apos[cv]) <= np.minimum(dpos[cu], dpos[cv])
         blocks.append(np.stack([cu[valid], cv[valid]], axis=1))
     bipartition = side.tolist() if side is not None else None
-    return build_instance(n, events, np.concatenate(blocks), bipartition)
+    return build_instance(n, stream, np.concatenate(blocks), bipartition)
 
 
 def to_json_dict(instance: Instance) -> dict:
     return {
         "n": instance.n,
         "events": [
-            {"kind": ev.kind.value, "v": ev.vertex} for ev in instance.events
+            {"kind": _KINDS[c & 1].value, "v": c >> 1} for c in instance.stream.tolist()
         ],
         "edges": instance.edge_array.tolist(),
         "bipartition": list(instance.bipartition)

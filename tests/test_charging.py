@@ -16,8 +16,6 @@ from fomlab.charging import (
     PiecewiseConstants,
     by_name,
     check_properties,
-    f_bipartite,
-    f_general,
     minimize_psi1,
     minimize_psi2,
     psi1,
@@ -115,11 +113,12 @@ def test_grid_size_limit():
 
 
 def test_f_bipartite_endpoints():
-    assert f_bipartite(0.0, EXPONENTIAL) == pytest.approx(1 / math.e, abs=1e-6)
-    assert f_bipartite(1.0, EXPONENTIAL) == pytest.approx(1 - 1 / math.e, abs=1e-6)
     # crossover: g(y) = 1 - 1/e at y = 1 + ln(1 - 1/e)
     y_star = 1.0 + math.log(1 - 1 / math.e)
-    assert f_bipartite(y_star, EXPONENTIAL) == pytest.approx(1 - 1 / math.e, abs=1e-6)
+    ys = np.array([0.0, 1.0, y_star])
+    f = charging_mod._f_bipartite_matrix(ys, EXPONENTIAL, BoundGrid())
+    want = [1 / math.e, 1 - 1 / math.e, 1 - 1 / math.e]
+    assert f.tolist() == pytest.approx(want, abs=1e-6)
 
 
 def test_ratio_bipartite_closed_form():
@@ -187,15 +186,17 @@ def test_psi1_theta_equals_tau_drops_compensation():
 
 
 def test_f_general_values():
-    assert f_general(0.0, PIECEWISE) == pytest.approx(0.46, abs=1e-6)
-    assert f_general(1.0, PIECEWISE) >= 0.5349 - 1e-9
+    f = charging_mod._f_general_matrix(np.array([0.0, 1.0]), PIECEWISE, BoundGrid())
+    assert f[0] == pytest.approx(0.46, abs=1e-6)
+    assert f[1] >= 0.5349 - 1e-9
 
 
 def test_f_general_dominates_lemma_bound():
     ys = np.linspace(0.0, 1.0, 201)
-    for y in ys:
+    f = charging_mod._f_general_matrix(ys, PIECEWISE, BoundGrid())
+    for y, value in zip(ys, f):
         bound = min(PIECEWISE.g(float(y), Side.JUST_BELOW), 0.5349)
-        assert f_general(float(y), PIECEWISE) >= bound - 1e-9
+        assert value >= bound - 1e-9
 
 
 def test_phi_one_minus_clamp_never_binds_for_b2():

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fomlab.engine import ranks_from_values, run_ranking
+from fomlab.instance import load_instance
+
 CLI = [sys.executable, "-m", "fomlab.cli"]
 
 
@@ -74,6 +77,16 @@ def test_run_ranking_and_greedy(instance_file):
     res2 = run_cli("run", "--instance", str(instance_file), "--alg", "greedy")
     assert res2.returncode == 0
     assert json.loads(res2.stdout)["algorithm"] == "greedy"
+    assert "trace" not in json.loads(res2.stdout)
+    # greedy reports carry the trace too: Ranking's on the arrival positions
+    res3 = run_cli("run", "--instance", str(instance_file), "--alg", "greedy", "--trace")
+    assert res3.returncode == 0, res3.stderr
+    trace = json.loads(res3.stdout)["trace"]
+    with open(instance_file) as fp:
+        inst = load_instance(fp)
+    ranks = ranks_from_values(inst.arrival_pos)
+    assert trace == list(run_ranking(inst, ranks, with_trace=True).trace)
+    assert len(trace) == inst.n
 
 
 def test_run_missing_instance_exits_2():

@@ -18,7 +18,6 @@ from fomlab.charging import (
 from fomlab.dual import (
     EXACT_MAX_N,
     assign_duals,
-    estimate_edge_cover,
     exact_edge_cover,
     exact_edge_covers,
     find_victim,
@@ -548,27 +547,18 @@ def test_trials_must_be_positive():
     for trials in (0, -5):
         with pytest.raises(ParamsInvalid):
             verify_feasibility(path(3), EXPONENTIAL, 0.5, trials, 0)
-        with pytest.raises(ParamsInvalid):
-            estimate_edge_cover(path(3), (0, 1), EXPONENTIAL, trials, 0)
 
 
-def test_estimate_edge_cover_single_edge_exponential():
-    mean, stderr = estimate_edge_cover(single_edge(), (0, 1), EXPONENTIAL, 5000, 1)
-    assert mean == 1.0
-    assert stderr == 0.0
+def test_single_edge_cover_exponential():
+    (est,) = verify_feasibility(single_edge(), EXPONENTIAL, 0.5, 5000, 1).edges
+    assert (est.u, est.v, est.mean, est.stderr) == (0, 1, 1.0, 0.0)
 
 
-def test_estimate_edge_cover_single_edge_piecewise():
+def test_single_edge_cover_piecewise():
     # the active endpoint has no victim, so no compensation leaves the edge
     # and the cover is exactly 1 in every trial (zero-sum rule)
-    mean, stderr = estimate_edge_cover(single_edge(), (0, 1), PIECEWISE, 5000, 1)
-    assert mean == 1.0
-    assert stderr == 0.0
-
-
-def test_estimate_edge_cover_unknown_edge():
-    with pytest.raises(RankMissing):
-        estimate_edge_cover(single_edge(), (0, 2), EXPONENTIAL, 10, 0)
+    (est,) = verify_feasibility(single_edge(), PIECEWISE, 0.5, 5000, 1).edges
+    assert (est.u, est.v, est.mean, est.stderr) == (0, 1, 1.0, 0.0)
 
 
 def _assert_exact_within_4_sigma(inst, charging, seed):

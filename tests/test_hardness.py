@@ -20,7 +20,6 @@ from fomlab.hardness import (
     gen_adversary_tree,
     gen_ranking_hard,
     omega_fixed_point,
-    z_path,
 )
 from fomlab.instance import build_instance, random_instance
 from fomlab.oracle import max_matching_bipartite, max_matching_general
@@ -185,18 +184,6 @@ def test_fluid_recurrence_level_budget():
     for h in (MAX_FLUID_LEVELS + 1, 10**8, 10**30):
         with pytest.raises(TooLarge):
             fluid_recurrence(2, h)
-
-
-def test_z_path_against_exponential_decay():
-    k = 1000
-    path = z_path(k, k)
-    t = np.arange(k + 1)
-    sup = np.max(np.abs(path - np.exp(-t / k)))
-    assert sup < 1e-3
-    # the deviation shrinks with k
-    k2 = 100
-    sup2 = np.max(np.abs(z_path(k2, k2) - np.exp(-np.arange(k2 + 1) / k2)))
-    assert sup < sup2
 
 
 def test_phase_simulation_matches_fluid_limit():

@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from fomlab.errors import (
 from fomlab.instance import (
     A,
     D,
+    EventKind,
     build_instance,
     from_one_sided,
     load_instance,
@@ -23,6 +25,7 @@ from fomlab.instance import (
     save_instance,
     to_json_dict,
 )
+from reference_instance import reference_build
 
 
 def test_smallest_legal_instance():
@@ -52,6 +55,66 @@ def test_malformed_events():
         build_instance(1, [A(0), A(0)], [])
     with pytest.raises(MalformedEvents):
         build_instance(1, [D(0), A(0)], [])
+
+
+def _codes(events):
+    """The code array equivalent to an Event list: 2v arrival, 2v + 1 deadline."""
+    return np.array([2 * e.vertex + (e.kind is EventKind.DEADLINE) for e in events])
+
+
+BAD_STREAMS = [
+    (-1, [], "negative vertex count -1"),
+    (2, [A(0), A(1), D(0)], "expected 4 events, got 3"),
+    (2, [A(0), A(0), D(0), D(1)], "duplicate arrival for vertex 0"),
+    (2, [A(0), A(1), D(1), D(1)], "duplicate deadline for vertex 1"),
+    (2, [A(2), A(1), D(0), D(1)], "event vertex 2 out of range [0, 2)"),
+    (2, [A(0), A(1), D(0), D(7)], "event vertex 7 out of range [0, 2)"),
+    (2, [A(0), A(-1), D(0), D(1)], "event vertex -1 out of range [0, 2)"),
+    (2, [A(0), A(1), D(2**70), D(1)], f"event vertex {2**70} out of range [0, 2)"),
+    (2, [A(0), D(1), A(1), D(0)], "vertex 1 has its deadline before its arrival"),
+    # the first faulty event in stream order decides
+    (2, [A(0), A(0), A(5), D(1)], "duplicate arrival for vertex 0"),
+    (2, [A(0), A(5), A(0), D(1)], "event vertex 5 out of range [0, 2)"),
+]
+
+
+@pytest.mark.parametrize("n,events,message", BAD_STREAMS)
+def test_malformed_events_in_both_forms(n, events, message):
+    for form in (events, _codes(events)):
+        with pytest.raises(MalformedEvents) as got:
+            build_instance(n, form, [])
+        assert str(got.value) == message
+
+
+def test_random_streams_match_reference_in_both_forms():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = int(rng.integers(0, 6))
+        slots = np.sort(rng.permutation(2 * n).reshape(n, 2), axis=1)
+        events = [None] * (2 * n)
+        for v, (a, d) in enumerate(slots.tolist()):
+            events[a], events[d] = A(v), D(v)
+        for _ in range(int(rng.integers(0, 3)) if n else 0):  # corrupt some events
+            i = int(rng.integers(0, 2 * n))
+            kind = A if rng.random() < 0.5 else D
+            events[i] = kind(int(rng.integers(-2, n + 2)))
+        # one edge where the uncorrupted stream allows it, so the edge checks run
+        edges = [(0, 1)] if n > 1 and slots[:2, 0].max() <= slots[:2, 1].min() else []
+        try:
+            ref = reference_build(n, events, edges)
+        except MalformedEvents as expected:
+            errors = []
+            for form in (events, _codes(events)):
+                with pytest.raises(type(expected)) as got:
+                    build_instance(n, form, edges)
+                errors.append(str(got.value))
+            assert errors[0] == errors[1]
+            continue
+        for form in (events, _codes(events)):
+            inst = build_instance(n, form, edges)
+            assert inst.events == tuple(events)
+            for name in ("arrival_pos", "deadline_pos", "deadline_order"):
+                assert getattr(inst, name) == ref[name]
 
 
 def test_self_loop_and_duplicate_edge():

@@ -264,10 +264,16 @@ def test_instance_arrays_are_read_only():
     # the kernel caches `later` from `indices`; a write would leave it stale
     inst = random_instance(20, 0.3, False, 4)
     inst.later
-    copy = pickle.loads(pickle.dumps(inst))  # protocol 4 restores arrays writeable
-    for each in (inst, copy):
-        for array in (each.edge_array, each.indptr, each.indices, *each.later):
+    copies = [pickle.loads(pickle.dumps(inst, protocol=p)) for p in (2, 4, 5)]
+    for each in (inst, *copies):  # protocols below 5 restore arrays writeable
+        assert each == inst
+        for array in (each.stream, each.edge_array, each.indptr, each.indices,
+                      *each.later):
             with pytest.raises(ValueError):
                 array[0] = 1
         with pytest.raises(ValueError):
             each.neighbors(3)[:] = 0
+    # the generators build the stream as codes, with no Event objects
+    for gen in (gen_ranking_hard(LayeredParams(3, 4)),
+                gen_adversary_tree(AdversaryTreeParams(2, 3, 1)), inst):
+        assert "events" not in vars(gen) and gen.stream.dtype == np.int32
