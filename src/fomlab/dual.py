@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
@@ -81,19 +82,34 @@ def marginal_rank(
     key (c, just-below, v) is below the key of its partner there.
     """
     without = run_without(instance, ranks_others, v)  # checks the ranks' length
-    candidates = {ranks_others.ranks[u] for u in range(instance.n) if u != v} | {1.0}
+    dpos = instance.deadline_pos
     eligible = [
         u
         for u in instance.adj[v]
-        if instance.earlier_deadline(u, v) and without.role[u] is not Role.PASSIVE
+        if dpos[u] < dpos[v] and without.role[u] is not Role.PASSIVE
     ]
     if any(without.partner[u] < 0 for u in eligible):
-        return MarginalRank(theta=max(candidates))
-    # () sorts below every key; (c, 0, v) is v's key at (c, Side.JUST_BELOW)
-    limit = max((ranks_others.key(without.partner[u]) for u in eligible), default=())
-    return MarginalRank(
-        theta=max((c for c in candidates if (c, 0, v) < limit), default=0.0)
-    )
+        return MarginalRank(theta=_largest_candidate(ranks_others, v, math.inf, True))
+    if not eligible:
+        return MarginalRank(theta=0.0)
+    # (c, 0, v), v's key at (c, Side.JUST_BELOW), is below the limit key
+    # (r, side, p) when c < r, or c == r and the limit is at r or p > v
+    r, side, p = max(ranks_others.key(without.partner[u]) for u in eligible)
+    return MarginalRank(theta=_largest_candidate(ranks_others, v, r, side or p > v))
+
+
+def _largest_candidate(ranks: RankAssignment, v: int, limit: float, equal: bool):
+    """The largest candidate (a rank other than v's, or 1) below `limit`, or
+    at it when `equal`; 0 if there is none."""
+    ranked = ranks.sorted_ranks
+    i = (bisect_right if equal else bisect_left)(ranked, limit)
+    # v's copy of its rank is not a candidate; any other copy is
+    if i and ranked[i - 1] == ranks.ranks[v]:
+        i -= 1
+    found = [ranked[i - 1]] if i else []
+    if 1.0 < limit or (equal and 1.0 == limit):
+        found.append(1.0)
+    return max(found, default=0.0)
 
 
 def find_victim(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -23,14 +24,16 @@ from .instance import Instance
 
 
 ARGSORT_ELEMENTS = 1 << 18
-"""Ranks argsorted at a time by `rank_positions` (whole rows, at least one).
+"""Ranks argsorted at a time by `rank_positions` and `drawn_rank_positions`
+(whole rows, at least one).
 
-It bounds the scratch of one block, not K and V, which `rank_positions`
-keeps whole.  A block holds three arrays of 8 B per rank at once: the int64
-argsort order, the float64 sorted copy for the tie check and the int64 index
-of the scatter into K.  That is about 6 MiB at this size; on 200 x 10,000
-ranks (26-row blocks), `rank_positions` peaks at 13.6 MiB (tracemalloc) for
-the 7.6 MiB of K and V it returns."""
+It bounds the scratch of one block, not K and V, which are kept whole.  A
+block holds the int64 argsort order and the float64 sorted copy for the tie
+check at once, 4 MiB at this size, and `drawn_rank_positions` adds the
+block's 2 MiB of drawn ranks.  On 200 x 10,000 ranks (26-row blocks), both
+peak at about 6 MiB above the 7.6 MiB of K and V they return (tracemalloc:
+11.9 MiB for `rank_positions`, 13.9 MiB for `drawn_rank_positions`), and
+the drawn form never holds the 15.3 MiB rank matrix."""
 
 
 class Side(Enum):
@@ -47,12 +50,30 @@ class Role(Enum):
 
 @dataclass(frozen=True)
 class RankAssignment:
+    """Ranks and sides per vertex.  `positions` and `sorted_ranks` are built
+    on first use and cached; they take no part in equality, hashing or
+    repr."""
+
     ranks: tuple[float, ...]
     sides: tuple[Side, ...]
 
     def key(self, v: int) -> tuple[float, int, int]:
         """Comparison key: rank, then just-below before at, then vertex id."""
         return (self.ranks[v], 0 if self.sides[v] is Side.JUST_BELOW else 1, v)
+
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        """Each vertex's position in the order of the `key`s, by vertex id:
+        comparing positions compares keys."""
+        positions = [0] * len(self.ranks)
+        for p, v in enumerate(sorted(range(len(self.ranks)), key=self.key)):
+            positions[v] = p
+        return tuple(positions)
+
+    @cached_property
+    def sorted_ranks(self) -> tuple[float, ...]:
+        """The ranks in ascending order."""
+        return tuple(sorted(self.ranks))
 
     def with_rank(
         self, v: int, rank: float, side: Side = Side.AT
@@ -112,14 +133,14 @@ def run_ranking(
 
     The deadlines come in `instance.deadline_order`, the order of the
     deadline events.  Every unmatched neighbour is a candidate, compared by
-    its `RankAssignment.key`, computed once per vertex and call.
+    its `RankAssignment.key`, through the assignment's cached `positions`.
     """
     n = instance.n
     if len(ranks.ranks) != n:
         raise RankMissing(
             f"rank assignment covers {len(ranks.ranks)} of {n} vertices"
         )
-    keys = list(map(ranks.key, range(n)))
+    position = ranks.positions.__getitem__
     adj = instance.adj
     partner = [-1] * n
     role: list[Optional[Role]] = [None] * n
@@ -132,8 +153,8 @@ def run_ranking(
             if trace is not None:
                 trace.append(_trace_line(v, partner[v], "already-matched", ranks))
             continue
-        candidates = [keys[u] for u in adj[v] if partner[u] < 0 and u != removed]
-        u = min(candidates)[2] if candidates else None
+        candidates = [u for u in adj[v] if partner[u] < 0 and u != removed]
+        u = min(candidates, key=position) if candidates else None
         if u is not None:
             partner[v] = u
             partner[u] = v
@@ -175,16 +196,37 @@ def rank_positions(ranks_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (K, V), both (n x trials): K[v, t] is v's position in row t's
     rank order, ties going to the smaller vertex id, and V[p, t] is the
     vertex at position p.  Both are int16 when n < 2**15, int32 otherwise.
-    Raises ParamsInvalid unless every rank is finite.
+    The rows are argsorted `ARGSORT_ELEMENTS` ranks at a time; where the
+    ranks are drawn uniform, `drawn_rank_positions` gives the same (K, V)
+    without the matrix.  Raises ParamsInvalid unless every rank is finite.
     """
     trials, n = ranks_matrix.shape
+    return _positions(trials, n, lambda lo, hi: ranks_matrix[lo:hi])
+
+
+def drawn_rank_positions(
+    rng: np.random.Generator, trials: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`rank_positions(rng.random((trials, n)))` without the matrix.
+
+    The uniform ranks are drawn one argsort block of rows at a time; numpy's
+    generators fill an array in order, so the blocks hold the same numbers
+    as the whole matrix would.
+    """
+    return _positions(trials, n, lambda lo, hi: rng.random((hi - lo, n)))
+
+
+def _positions(trials: int, n: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """K and V of the rank rows `rows(lo, hi)` returns for each block
+    [lo, hi) of `ARGSORT_ELEMENTS` ranks, in order."""
     dtype = np.int16 if n < 2**15 else np.int32
     K = np.empty((n, trials), dtype=dtype)
     V = np.empty((n, trials), dtype=dtype)
     positions = np.arange(n, dtype=dtype)[:, None]
     block_rows = max(1, ARGSORT_ELEMENTS // max(1, n))
     for lo in range(0, trials, block_rows):
-        block = ranks_matrix[lo : lo + block_rows]
+        hi = min(trials, lo + block_rows)
+        block = rows(lo, hi)
         # checked a block at a time: a whole-matrix mask would raise peak RSS
         if not np.isfinite(block).all():
             raise ParamsInvalid("every rank in a batch must be finite")
@@ -194,38 +236,28 @@ def rank_positions(ranks_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
         if tied.any():
             order[tied] = np.argsort(block[tied], axis=1, kind="stable")
-        hi = lo + len(block)
         V[:, lo:hi] = order.T
         K[order.T, np.arange(lo, hi)] = positions
+        # freed before the next block is drawn, not after
+        del block, order, ranked
     return K, V
 
 
-def run_ranking_batch(
-    instance: Instance,
-    ranks_matrix: np.ndarray,
-    removed: Optional[int] = None,
+def run_ranking_positions(
+    instance: Instance, K: np.ndarray, V: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replay Ranking for every row of ranks_matrix (trials x n).
+    """Replay Ranking on every column of the rank positions (K, V).
 
-    Returns (partner, active): partner is (trials x n) int32 with -1 for
-    unmatched, active a boolean matrix marking deadline-side endpoints;
-    both are transposed views of the kernel's vertex-major arrays.
-    Ties break toward the smaller vertex id, matching the scalar engine for
-    all-At rank assignments.  Raises ParamsInvalid unless every rank is
-    finite.
+    K and V are `rank_positions`' (n x trials) arrays; K[u] = n marks u as
+    removed.  K is overwritten.  Returns vertex-major (partner, active):
+    partner in K's dtype with -1 for unmatched, active a boolean array
+    marking deadline-side endpoints.  Build `instance.later` before K and V,
+    so that its scratch does not add to their peak.
     """
-    trials, n = ranks_matrix.shape
-    if n != instance.n:
-        raise RankMissing(f"rank matrix covers {n} of {instance.n} vertices")
-    # built before K and V, so that its scratch does not add to their peak
+    n, trials = K.shape
     later_ptr, later = instance.later
     ptr = later_ptr.tolist()
-    K, V = rank_positions(ranks_matrix)
-    if removed is not None:
-        if not 0 <= removed < n:
-            raise IndexOutOfRange(f"vertex {removed} out of range [0, {n})")
-        K[removed] = n
-    partner = np.full((n, trials), -1, dtype=np.int32)
+    partner = np.full((n, trials), -1, dtype=K.dtype)
     active = np.zeros((n, trials), dtype=bool)
     # K[u] = n marks u matched or removed; no step after v's deadline reads K[v]
     for v in instance.deadline_order:
@@ -243,4 +275,32 @@ def run_ranking_batch(
         partner[chosen, rows] = v
         active[v, rows] = True
         K[chosen, rows] = n
-    return partner.T, active.T
+    return partner, active
+
+
+def run_ranking_batch(
+    instance: Instance,
+    ranks_matrix: np.ndarray,
+    removed: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay Ranking for every row of ranks_matrix (trials x n).
+
+    Returns (partner, active): partner is (trials x n) int32 with -1 for
+    unmatched, active a boolean matrix marking deadline-side endpoints;
+    both are transposed views of vertex-major arrays.
+    Ties break toward the smaller vertex id, matching the scalar engine for
+    all-At rank assignments.  Raises ParamsInvalid unless every rank is
+    finite.
+    """
+    trials, n = ranks_matrix.shape
+    if n != instance.n:
+        raise RankMissing(f"rank matrix covers {n} of {instance.n} vertices")
+    if removed is not None and not 0 <= removed < n:
+        raise IndexOutOfRange(f"vertex {removed} out of range [0, {n})")
+    # built before K and V, so that its scratch does not add to their peak
+    instance.later
+    K, V = rank_positions(ranks_matrix)
+    if removed is not None:
+        K[removed] = n
+    partner, active = run_ranking_positions(instance, K, V)
+    return partner.astype(np.int32, copy=False).T, active.T

@@ -15,8 +15,10 @@ from typing import Callable, Union
 import numpy as np
 
 from ._parallel import chunk_sizes, run_chunked
-# `run_ranking` is not called here; the benchmark's tracer rebinds it in this
-# module, and tests/test_tracing_contract.py checks that the name exists
+from .engine import drawn_rank_positions, rank_positions, run_ranking_positions
+# `run_ranking` and `run_ranking_batch` are not called here; the benchmark's
+# tracer rebinds them in this module, and tests/test_tracing_contract.py
+# checks that the names exist
 from .engine import run_ranking, run_ranking_batch  # noqa: F401
 from .errors import InvariantViolated, ParamsInvalid, TooLarge
 from .instance import Instance, build_instance
@@ -29,12 +31,11 @@ MAX_EDGES = 1 << 24
 """Edge budget of the generated hardness instances, about 34 times the
 layered k=100, h=50 instance (495,000 edges).
 
-Generating and building an instance peaks at 62 to 66 B per edge
-(tracemalloc, layered and adversary-tree instances of 0.5 to 2 million
-edges), so about 1 GiB at the budget; the instance keeps 16 B per edge, its
-edge array and CSR indices.  While the build sorted both orientations of
-every edge as int64 keys, it peaked at about 140 B per edge, 2.2 GiB at the
-budget."""
+Generating and building an instance peaks at about 52 B per edge while
+n^2 < 2^31, where the build's edge keys are int32 (tracemalloc, layered and
+adversary-tree instances of 0.5 to 2 million edges), and at 63 to 67 B per
+edge above it, with int64 keys: 0.8 to 1.1 GiB at the budget.  The
+instance keeps 16 B per edge, its edge array and CSR indices."""
 
 MAX_LEAVES = 1 << 23
 """Leaf budget of `adversary_ratio`, whose harmonic sum takes a step per leaf."""
@@ -312,14 +313,17 @@ def _opt_size(instance: Instance) -> int:
 
 def _sizes_chunk(args):
     """Ranking's sizes on `rows` uniform rank rows from default_rng(key), or
-    with key None, its size on the arrival positions (Greedy) `rows` times."""
+    with key None, its size on the arrival positions (Greedy) `rows` times.
+    The uniform ranks are drawn a block at a time, never as one matrix."""
     instance, key, rows = args
+    # built before K and V, so that its scratch does not add to their peak
+    instance.later
     if key is None:
-        ranks = np.asarray(instance.arrival_pos, dtype=float)[None]
+        K, V = rank_positions(np.asarray(instance.arrival_pos, dtype=float)[None])
     else:
-        ranks = np.random.default_rng(key).random((rows, instance.n))
-    _, active = run_ranking_batch(instance, ranks)
-    return np.resize(active.sum(axis=1), rows)
+        K, V = drawn_rank_positions(np.random.default_rng(key), rows, instance.n)
+    _, active = run_ranking_positions(instance, K, V)
+    return np.resize(active.sum(axis=0), rows)
 
 
 def empirical_ratio(
@@ -333,11 +337,14 @@ def empirical_ratio(
 
     `source` is either a fixed Instance (ranks vary per trial) or a callable
     mapping a trial index to a fresh Instance (e.g. the random adversary
-    tree).  Each distinct instance gets its OPT once and one batch call per
-    block of rows.  A fixed instance's blocks are keyed [seed, block id] and
-    spread over `workers`; trial t of a callable source is one row keyed
-    [seed, t, 1], run here (numpy drops a trailing 0, so a tag 0 would
-    repeat the CLI's tree key [seed, t]).  Greedy runs one row per instance.
+    tree).  Each distinct instance gets its OPT once and one run of the
+    batch matching loop (`run_ranking_positions`) per block of rows, whose
+    uniform ranks are drawn one argsort block at a time
+    (`drawn_rank_positions`), so no rank matrix is ever held whole.  A fixed
+    instance's blocks are keyed [seed, block id] and spread over `workers`;
+    trial t of a callable source is one row keyed [seed, t, 1], run here
+    (numpy drops a trailing 0, so a tag 0 would repeat the CLI's tree key
+    [seed, t]).  Greedy runs one row per instance.
     """
     if trials < 1:
         raise ParamsInvalid(f"need trials >= 1, got {trials}")

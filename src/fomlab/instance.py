@@ -251,8 +251,10 @@ def build_instance(
     out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     # the edges before the first out-of-range one are checked first
     head = int(np.argmax(out)) if out.any() else len(pairs)
-    lo = np.minimum(u[:head], v[:head]).astype(np.int64)
-    hi = np.maximum(u[:head], v[:head]).astype(np.int64)
+    # an edge's key lo * n + hi is below n^2, so int32 keys do when n^2 is
+    key_type = np.int32 if n * n < 2**31 else np.int64
+    lo = np.minimum(u[:head], v[:head]).astype(key_type)
+    hi = np.maximum(u[:head], v[:head]).astype(key_type)
     loop = lo == hi
     # the model-guarantee gathers run before the keys exist, so that their
     # scratch does not add to the keys' peak
@@ -297,7 +299,7 @@ def build_instance(
     # sorted by (second, first), the edges list the lower neighbours row by
     # row: edge j lands after every higher neighbour of the rows before its
     # second endpoint
-    lower = second.astype(np.int64) * n + first
+    lower = second.astype(key_type) * n + first
     lower.sort()
     row, column = np.divmod(lower, n)
     del lower

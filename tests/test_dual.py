@@ -32,6 +32,7 @@ from fomlab.engine import (
     ranks_from_values,
     run_ranking,
     run_ranking_batch,
+    run_without,
     sample_ranks,
 )
 from fomlab.errors import (
@@ -143,6 +144,37 @@ def test_marginal_rank_matches_scan_on_random_instances():
             seen["just_below_tie"] += len(below) - len(set(below))
             _assert_marginal_rank_matches_scan(inst, ranks)
     assert all(seen.values()), seen
+
+
+def _marginal_rank_one_run(inst, ranks_others, v):
+    """Reference for marginal_rank: its one-run rule with the candidate set
+    and every key built per call, and eligibility by `earlier_deadline`."""
+    without = run_without(inst, ranks_others, v)
+    candidates = {ranks_others.ranks[u] for u in range(inst.n) if u != v} | {1.0}
+    eligible = [
+        u
+        for u in inst.adj[v]
+        if inst.earlier_deadline(u, v) and without.role[u] is not Role.PASSIVE
+    ]
+    if any(without.partner[u] < 0 for u in eligible):
+        return max(candidates)
+    limit = max((ranks_others.key(without.partner[u]) for u in eligible), default=())
+    return max((c for c in candidates if (c, 0, v) < limit), default=0.0)
+
+
+def test_marginal_rank_matches_one_run_reference():
+    # ties, just-below sides, ranks of exactly 1 and ranks off [0, 1], where
+    # 1 is a candidate below other ranks
+    rng = np.random.default_rng(44)
+    for i in range(100):
+        n = int(rng.integers(1, 13))
+        inst = random_instance(n, float(rng.uniform(0.05, 0.9)), bool(i % 2), 900 + i)
+        draws = list(_rank_draws(rng, n))
+        draws.append(ranks_from_values(rng.integers(-2, 7, n) / 4.0))
+        for ranks in draws:
+            for v in range(n):
+                theta = marginal_rank(inst, ranks, v).theta
+                assert theta == _marginal_rank_one_run(inst, ranks, v), (inst, ranks, v)
 
 
 def test_marginal_rank_corner_cases():

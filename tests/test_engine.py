@@ -15,6 +15,7 @@ from fomlab import engine
 from fomlab.engine import (
     Role,
     Side,
+    drawn_rank_positions,
     rank_positions,
     ranks_from_values,
     run_greedy,
@@ -278,6 +279,16 @@ def test_batch_removed_out_of_range():
         run_ranking_batch(path(3), np.zeros((1, 3)), removed=3)
 
 
+def test_batch_checks_removed_before_allocating(monkeypatch):
+    def no_positions(*args, **kwargs):
+        raise AssertionError("rank positions allocated before the check")
+
+    monkeypatch.setattr(engine, "rank_positions", no_positions)
+    for removed in (-1, 3):
+        with pytest.raises(IndexOutOfRange):
+            run_ranking_batch(path(3), np.zeros((1, 3)), removed=removed)
+
+
 # -- the rank-position kernel against the float argmin kernel it replaced -------
 
 
@@ -390,6 +401,43 @@ def test_pickled_instance_keeps_later_and_kernel_output():
             run_ranking_batch(inst, matrix, removed),
         ):
             assert np.array_equal(got, want)
+
+
+def test_drawn_positions_equal_positions_of_the_drawn_matrix():
+    # a generator fills an array in order, so rows drawn one argsort block at
+    # a time are the rows of the whole matrix; 23 trials are no multiple of 7
+    trials = 23
+    for n in (1, 13, 40):
+        for block_rows in (1, 7, trials):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "ARGSORT_ELEMENTS", block_rows * n)
+                rng = np.random.default_rng([n, 5])
+                want = rank_positions(rng.random((trials, n)))
+                drawing = np.random.default_rng([n, 5])
+                got = drawn_rank_positions(drawing, trials, n)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (n, block_rows)
+            # and it took exactly the matrix's numbers from the stream
+            assert drawing.random() == rng.random()
+
+
+def test_rank_assignment_caches_positions_outside_equality():
+    # ties on rank and side go to the smaller id, ties on rank alone to the
+    # just-below side
+    sides = [Side.AT, Side.JUST_BELOW, Side.JUST_BELOW, Side.AT, Side.JUST_BELOW]
+    values = [0.5, 0.2, 0.5, 1.0, 0.2]
+    ranks = ranks_from_values(values, sides)
+    fresh = ranks_from_values(values, sides)
+    assert ranks.positions == (3, 0, 2, 4, 1)
+    keys = [ranks.key(v) for v in range(5)]
+    for u in range(5):
+        for v in range(5):
+            assert (keys[u] < keys[v]) == (ranks.positions[u] < ranks.positions[v])
+    assert ranks.sorted_ranks == (0.2, 0.2, 0.5, 0.5, 1.0)
+    assert {"positions", "sorted_ranks"} <= set(vars(ranks))
+    assert ranks == fresh and hash(ranks) == hash(fresh)
+    assert repr(ranks) == repr(fresh)
+    assert pickle.loads(pickle.dumps(ranks)) == fresh
 
 
 def test_rank_positions_order_ties_by_vertex_id():

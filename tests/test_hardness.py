@@ -4,9 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import single_edge
+from conftest import single_edge, traced_peak_mib
 from fomlab.errors import ParamsInvalid, TooLarge
-from fomlab import hardness
+from fomlab import engine, hardness
 from fomlab.hardness import (
     MAX_EDGES,
     MAX_FLUID_LEVELS,
@@ -23,7 +23,13 @@ from fomlab.hardness import (
 )
 from fomlab.instance import build_instance, random_instance
 from fomlab.oracle import max_matching_bipartite, max_matching_general
-from fomlab.engine import Role, ranks_from_values, run_greedy, run_ranking
+from fomlab.engine import (
+    Role,
+    ranks_from_values,
+    run_greedy,
+    run_ranking,
+    run_ranking_batch,
+)
 from conftest import enumerate_rank_orders
 
 OMEGA = 0.567143290409784
@@ -253,15 +259,18 @@ def _tree_source(trial):
 
 
 def _recorded_rows(monkeypatch, source, trials, seed):
-    """The rank matrices `empirical_ratio` hands the batch kernel."""
+    """The rank rows `empirical_ratio` draws, one matrix per call of its
+    block source, read from a copy of the generator it hands that source."""
     seen = []
-    real = hardness.run_ranking_batch
+    real = hardness.drawn_rank_positions
 
-    def recording(inst, ranks, *args, **kwargs):
-        seen.append(np.array(ranks))
-        return real(inst, ranks, *args, **kwargs)
+    def recording(rng, rows, n):
+        copy = np.random.Generator(type(rng.bit_generator)())
+        copy.bit_generator.state = rng.bit_generator.state
+        seen.append(copy.random((rows, n)))
+        return real(rng, rows, n)
 
-    monkeypatch.setattr(hardness, "run_ranking_batch", recording)
+    monkeypatch.setattr(hardness, "drawn_rank_positions", recording)
     empirical_ratio(source, "ranking", trials, seed)
     return seen
 
@@ -290,6 +299,38 @@ def test_per_trial_rank_tag_is_not_zero(monkeypatch):
     row = seen[2][0]
     assert np.array_equal(row, np.random.default_rng([3, 2, 1]).random(len(row)))
     assert not np.array_equal(row, np.random.default_rng([3, 2, 0]).random(len(row)))
+
+
+def test_ratio_sizes_equal_the_batch_kernel_on_the_same_rows():
+    # the ratio path draws its rank rows a block at a time into the matching
+    # loop; its sizes are run_ranking_batch's on the whole matrix of those
+    # rows, and Greedy's are its one arrival-position row, repeated
+    for inst in (
+        gen_ranking_hard(LayeredParams(k=6, h=7)),
+        gen_adversary_tree(AdversaryTreeParams(k=2, h=3, seed=4)),
+        random_instance(40, 0.2, False, 3),
+    ):
+        rows = 37
+        matrix = np.random.default_rng([4, 2]).random((rows, inst.n))
+        want = run_ranking_batch(inst, matrix)[1].sum(axis=1)
+        for block_rows in (5, rows):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "ARGSORT_ELEMENTS", block_rows * inst.n)
+                got = hardness._sizes_chunk((inst, [4, 2], rows))
+            assert np.array_equal(got, want)
+        greedy = hardness._sizes_chunk((inst, None, 3))
+        assert greedy.tolist() == [run_greedy(inst).size] * 3
+
+
+def test_ratio_on_a_fixed_instance_memory_stays_flat():
+    # on the layered k=100, h=50 instance (10,000 vertices), 200 trials' ranks
+    # drawn as one float64 matrix (15.3 MiB) and an int32 partner array
+    # (7.6 MiB) peak 33 MiB above the instance and its later-deadline CSR,
+    # which is built on first use
+    inst = gen_ranking_hard(LayeredParams(100, 50))
+    inst.later
+    peak = traced_peak_mib(lambda: empirical_ratio(inst, "ranking", 200, 1, workers=1))
+    assert peak <= 16
 
 
 def _mean_stderr(ratios):

@@ -19,7 +19,7 @@ from fomlab.hardness import (
     gen_adversary_tree,
     gen_ranking_hard,
 )
-from fomlab.errors import TooLarge
+from fomlab.errors import DuplicateEdge, TooLarge
 from fomlab.instance import (
     MAX_PAIRS,
     A,
@@ -96,20 +96,26 @@ def test_vertices_of_degree_zero_keep_empty_rows():
 
 
 def test_wide_instance_keys_do_not_wrap():
-    # at n = 65,537 the key u * n + v of an edge on the top ids passes 2^32
-    n = 65_537
-    events = [A(v) for v in range(n)] + [D(v) for v in range(n)]
-    edges = [(65_536, 65_535), (0, 65_536), (65_534, 65_536), (65_535, 1), (3, 2)]
-    inst = build_instance(n, events, edges)
-    _assert_matches_reference(inst, (n, events, edges, None))
-    for dtype in (np.int32, np.int64):
-        _assert_same_arrays(build_instance(n, events, np.array(edges, dtype=dtype)), inst)
+    # the key u * n + v of an edge on the top ids: int32 at n = 46,340 (just
+    # below 2^31), int64 at n = 46,341, and past 2^32 at n = 65,537
+    for n in (46_340, 46_341, 65_537):
+        events = [A(v) for v in range(n)] + [D(v) for v in range(n)]
+        top = n - 1
+        edges = [(top, top - 1), (0, top), (top - 2, top), (top - 1, 1), (3, 2)]
+        inst = build_instance(n, events, edges)
+        _assert_matches_reference(inst, (n, events, edges, None))
+        for dtype in (np.int32, np.int64):
+            as_array = np.array(edges, dtype=dtype)
+            _assert_same_arrays(build_instance(n, events, as_array), inst)
+        with pytest.raises(DuplicateEdge, match=rf"\({top - 1}, {top}\)"):
+            build_instance(n, events, edges + [(top - 1, top)])
 
 
 def test_hardness_builds_memory_stays_flat():
     # sorting both orientations of every edge as int64 keys peaks at
-    # 66.5 MiB on the layered k=100, h=50 build (495,000 edges)
-    assert traced_peak_mib(lambda: gen_ranking_hard(LayeredParams(100, 50))) < 40
+    # 66.5 MiB on the layered k=100, h=50 build (495,000 edges), and int64
+    # edge keys alone at 28.3 MiB
+    assert traced_peak_mib(lambda: gen_ranking_hard(LayeredParams(100, 50))) <= 26
     assert traced_peak_mib(lambda: gen_adversary_tree(AdversaryTreeParams(7, 3, 5))) < 7
 
 

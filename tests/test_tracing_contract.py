@@ -97,3 +97,24 @@ def test_traced_marginal_rank_records_one_scalar_run(tracing):
     for i in calls:
         children = [s[tracing.NAME] for s in spans if s[tracing.PARENT] == i]
         assert children == ["engine.scalar"]
+
+
+def test_installed_tracer_runs_empirical_ratio(tracing):
+    # the traced ratio-mc run times `empirical_ratio` on a fixed instance and
+    # on a callable source; under the rebinding both run and agree untraced
+    import fomlab.hardness as hardness
+
+    fixed = hardness.gen_ranking_hard(hardness.LayeredParams(k=4, h=5))
+
+    def trees(trial):
+        params = hardness.AdversaryTreeParams(k=2, h=2, seed=trial)
+        return hardness.gen_adversary_tree(params)
+
+    runs = [(source, alg) for source in (fixed, trees) for alg in ("ranking", "greedy")]
+    want = [hardness.empirical_ratio(s, alg, 6, 1, workers=1) for s, alg in runs]
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        got = [hardness.empirical_ratio(s, alg, 6, 1, workers=1) for s, alg in runs]
+    assert got == want
+    names = {span[tracing.NAME] for span in tracer.spans}
+    assert {"hardness.ratio", "hardness.opt", "hardness.gen"} <= names
