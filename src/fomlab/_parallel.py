@@ -8,7 +8,6 @@ count.  Reduction happens in chunk-id order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import ParamsInvalid
 
@@ -52,5 +51,9 @@ def run_chunked(worker_fn, args_list, workers=None):
     nworkers = pool_size(workers, len(args_list))
     if nworkers <= 1:
         return [worker_fn(a) for a in args_list]
+    # imported here: concurrent.futures.process loads multiprocessing, which
+    # only a pool needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
         return list(pool.map(worker_fn, args_list))

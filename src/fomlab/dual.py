@@ -194,28 +194,40 @@ def simulate_alphas_batch(
     """Per-trial dual vectors for a batch of rank draws.
 
     Returns (alpha, matched_edges): alpha is (trials x n), matched_edges the
-    per-trial matching size.  Cross-checked against assign_duals in tests.
+    per-trial matching size.  `_alphas` computes them with whole-array steps
+    and one Ranking run for the batch; tests cross-check them against
+    assign_duals and, bit for bit, against one full replay per active vertex.
     """
     return _alphas(instance, ranks_matrix, charging.g_limit_grid, charging.h_limit_grid)
 
 
 def _alphas(instance: Instance, ranks_matrix: np.ndarray, g, h):
     """The batch dual rule: g and h map the passive partners' entries of
-    ranks_matrix to their gain share and compensation."""
+    ranks_matrix to their gain share and compensation.
+
+    Returns (alpha, matched_edges), as `simulate_alphas_batch`.  Gain
+    sharing is one pass over the active entries, one sweep over the
+    deadlines follows every candidate column's alternating path, and the
+    compensations are added with one `np.add.at` in payer-id order, which
+    keeps the order of a per-vertex replay's additions in every entry.
+    Raises InvariantViolated if a column finds two victims.
+    """
     trials, n = ranks_matrix.shape
     partner, active = run_ranking_batch(instance, ranks_matrix)
+    msize = active.sum(axis=1)
     alpha = np.zeros((trials, n))
-    rows = np.arange(trials)
 
-    # gain sharing
-    for v in range(n):
-        sel = active[:, v]
-        if not sel.any():
-            continue
-        p = partner[sel, v]
-        gp = g(ranks_matrix[sel, p])
-        alpha[sel, v] += 1.0 - gp
-        alpha[rows[sel], p] += gp
+    # gain sharing, over the flat (row, vertex) indices of the active
+    # entries: an active entry gets 1 - g(y_p) and its passive partner's
+    # entry g(y_p).  Each matched entry gets exactly one share, written onto
+    # 0.0, so writing it is adding it.
+    act = np.flatnonzero(active)
+    passive = act - act % n + partner.ravel()[act]
+    gp = g(ranks_matrix.ravel()[passive])
+    flat = alpha.ravel()  # a view: alpha is contiguous
+    flat[act] = 1.0 - gp
+    flat[passive] = gp
+    del act, passive, gp, flat
 
     # compensations: w's victim is a neighbour left unmatched with w present
     # and matched once w is removed.  Only columns (w, row) where w is active
@@ -227,32 +239,43 @@ def _alphas(instance: Instance, ranks_matrix: np.ndarray, g, h):
     # starts as w's partner, extra-free.  Every column follows its d through
     # the later deadlines in one lock-step sweep; w's victim is the final d
     # when it is extra-matched and adjacent to w.
-    order = instance.deadline_order
-    partner_vm, active_vm = partner.T, active.T  # vertex-major (n x trials)
-    step = np.empty(n, dtype=np.int32)
-    step[list(order)] = np.arange(n, dtype=np.int32)
-    unmatched = partner_vm < 0
+    order = np.array(instance.deadline_order, dtype=np.intp)
+    # each vertex's deadline step, and n at index -1 for "no partner"
+    step = np.empty(n + 1, dtype=np.int32)
+    step[order] = np.arange(n, dtype=np.int32)
+    step[n] = n
     # step at which each vertex's pair formed, n if it stays unmatched: v is
-    # free in the base run just before step s where formed[v] >= s
-    formed = np.where(active_vm, step[:, None], step[partner_vm])
-    formed[unmatched] = n
+    # free in the base run just before step s where formed[row, v] >= s
+    formed = np.where(active, step[:n], step[partner])
+    # from here on partner holds each vertex's base choice: its partner
+    # where it is active, -1 where it is passive or unmatched
+    partner[~active] = -1
+    del active
     # columns (w, row), sorted by w's deadline step and then by row; those
     # live at step s (w's deadline came earlier) are the first live[s]
     cands = [
-        np.flatnonzero(active_vm[w] & unmatched[instance.neighbors(w)].any(axis=0))
-        for w in order
+        np.flatnonzero(
+            (partner[:, w] >= 0) & (formed[:, instance.neighbors(w)] == n).any(axis=1)
+        )
+        for w in order.tolist()
     ]
-    live = np.cumsum([0] + [len(c) for c in cands])
+    counts = [len(c) for c in cands]
+    live = np.cumsum([0] + counts)
     if not live[-1]:  # no column, no victim
-        return alpha, active.sum(axis=1)
+        return alpha, msize
     col_row = np.concatenate(cands)
-    d = np.concatenate([partner_vm[w, c] for w, c in zip(order, cands)]).astype(np.intp)
+    payer = np.repeat(order, counts)
+    del cands
+    d = partner[col_row, payer].astype(np.intp)
     extra_free = np.ones(len(d), dtype=bool)
     near_v = np.zeros(n, dtype=bool)
-    for s in range(n):
-        v = order[s]
-        nbrs = instance.neighbors(v)
-        k = live[s]
+    ptr, indices = instance.indptr.tolist(), instance.indices.astype(np.intp)
+    # the gathers below index these flat views (formed is laid out vertex
+    # by vertex): one flat index per entry gathers faster than a (row,
+    # vertex) pair
+    formed_flat, ranks_flat = formed.T.ravel(), ranks_matrix.ravel()
+    for s, (v, k) in enumerate(zip(order.tolist(), live.tolist())):
+        nbrs = indices[ptr[v] : ptr[v + 1]]
         if not k or not len(nbrs):
             continue
         # at v's deadline a column changes only if d is v, if d is
@@ -268,59 +291,63 @@ def _alphas(instance: Instance, ranks_matrix: np.ndarray, g, h):
         dc, fc, rc = d[cols], extra_free[cols], col_row[cols]
         at_v = dc == v
         # v's base choice, -1 if v is matched before s or finds no partner
-        choice = np.where(active_vm[v, rc], partner_vm[v, rc], -1)
+        choice = partner.T[v][rc]
         # an extra-free d offered to a v that is free in the base run
-        offer = fc & ~at_v & (formed[v, rc] >= s)
+        offer = np.flatnonzero(fc & ~at_v & (formed.T[v][rc] >= s))
         # an extra-matched d that v took in the base run
         taken = ~fc & (choice == dc)
         # v chooses among the neighbours the base run leaves free after step
         # s: v is d with d extra-free (v took nobody in the base run), or
         # v's base choice d is taken already
-        pick = (at_v & fc) | taken
-        if pick.any():
-            pc, pr = cols[pick], rc[pick]
-            open_nbr = (formed[nbrs][:, pr] > s).T
-            masked = np.where(open_nbr, ranks_matrix[pr[:, None], nbrs], np.inf)
+        pick = np.flatnonzero((at_v & fc) | taken)
+        if len(pick):
+            pc, pr = cols[pick], rc[pick][:, None]
+            open_nbr = formed_flat[nbrs * trials + pr] > s
+            masked = np.where(open_nbr, ranks_flat[pr * n + nbrs], np.inf)
             j = masked.argmin(axis=1)  # ties to the lowest id: nbrs ascend
-            found = open_nbr[np.arange(len(pr)), j]
+            found = open_nbr[np.arange(len(pc)), j]
             # v's new partner is extra-matched; if there is none, d = v
             # stays extra-free, or the v that lost d is free without w
             d[pc] = np.where(found, nbrs[j], v)
             extra_free[pc] = ~found
         # an extra-matched d = v: its base choice stays free without w
-        move = at_v & ~fc & (choice >= 0)
+        move = np.flatnonzero(at_v & ~fc & (choice >= 0))
         d[cols[move]] = choice[move]
         extra_free[cols[move]] = True
-        if offer.any():
+        if len(offer):
             oc, orow, ob, od = cols[offer], rc[offer], choice[offer], dc[offer]
-            r_d, r_b = ranks_matrix[orow, od], ranks_matrix[orow, ob]
+            r_d, r_b = ranks_flat[orow * n + od], ranks_flat[orow * n + ob]
             # without w, v takes d over its base choice b (or over nothing),
             # which leaves b extra-free, or makes v extra-matched
-            wins = (ob < 0) | (r_d < r_b) | ((r_d == r_b) & (od < ob))
+            wins = np.flatnonzero((ob < 0) | (r_d < r_b) | ((r_d == r_b) & (od < ob)))
             d[oc[wins]] = np.where(ob >= 0, ob, v)[wins]
             extra_free[oc[wins]] = ob[wins] >= 0
+    del formed, formed_flat, ranks_flat
 
-    # by vertex id, so that each entry adds up its compensations in the
-    # order a replay per vertex would
-    for w in range(n):
-        lo, hi = live[step[w]], live[step[w] + 1]
-        if lo == hi:
-            continue
-        nbrs = instance.neighbors(w)
-        hit = ~extra_free[lo:hi, None] & (nbrs == d[lo:hi, None])
-        if hit.sum(axis=1).max() > 1:
-            raise InvariantViolated(f"multiple victims for vertex {w}")
-        has_victim = hit.any(axis=1)
-        if not has_victim.any():
-            continue
-        vrows = col_row[lo:hi][has_victim]
-        victim = nbrs[hit[has_victim].argmax(axis=1)]
-        p = partner[vrows, w]
-        amount = h(ranks_matrix[vrows, p])
-        alpha[vrows, w] -= amount
-        alpha[vrows, victim] += amount
-
-    return alpha, active.sum(axis=1)
+    # the victim: a final extra-matched d that is one of the payer's
+    # neighbours, looked up by (payer, d) in the CSR's sorted (row, entry)
+    # keys; a neighbour listed twice would be two victims
+    ended = np.flatnonzero(~extra_free)
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(instance.indptr))
+    keys = keys * n + instance.indices
+    query = payer[ended].astype(np.int64) * n + d[ended]
+    hits = np.searchsorted(keys, query, "right") - np.searchsorted(keys, query)
+    if (hits > 1).any():
+        raise InvariantViolated(
+            f"multiple victims for vertex {payer[ended][hits > 1].min()}"
+        )
+    paid = ended[hits == 1]
+    vrows, w, victim = col_row[paid], payer[paid], d[paid]
+    amount = h(ranks_matrix[vrows, partner[vrows, w]])
+    # by payer id, debit before credit, so that each entry adds up its
+    # compensations in the order a replay per vertex would
+    by_payer = np.argsort(np.concatenate([w, w]), kind="stable")
+    np.add.at(
+        alpha,
+        (np.concatenate([vrows, vrows])[by_payer], np.concatenate([w, victim])[by_payer]),
+        np.concatenate([-amount, amount])[by_payer],
+    )
+    return alpha, msize
 
 
 def _edge_cover_chunk(args):
@@ -332,10 +359,14 @@ def _edge_cover_chunk(args):
         np.sum(np.abs(alpha.sum(axis=1) - msize) > COND1_TOL)
     )
     if instance.m:
+        # one row of covers per edge: alpha[:, eu] + alpha[:, ev] holds the
+        # same numbers with each edge's column contiguous, so these row sums
+        # add in the order its column sums would, and gathering rows of
+        # alpha.T is faster than gathering columns of alpha
         eu, ev = instance.edge_array.T
-        cover = alpha[:, eu] + alpha[:, ev]
-        sums = cover.sum(axis=0)
-        sumsqs = (cover * cover).sum(axis=0)
+        cover = alpha.T[eu] + alpha.T[ev]
+        sums = cover.sum(axis=1)
+        sumsqs = (cover * cover).sum(axis=1)
     else:
         sums = np.zeros(0)
         sumsqs = np.zeros(0)
@@ -456,8 +487,15 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(32)
 
 
-def _order_statistic_table(fn, charging: ChargingFunction, n: int) -> np.ndarray:
-    """E[fn(U_(r:n))] for r = 1..n, by Gauss-Legendre on each smooth piece."""
+@functools.cache
+def _order_statistic_table(charging: ChargingFunction, which: str, n: int) -> np.ndarray:
+    """E[fn(U_(r:n))] for r = 1..n, fn being charging's g or h (`which`), by
+    Gauss-Legendre on each smooth piece.
+
+    A pure function of frozen values, so it is computed once for each and
+    returned read-only; `exact_edge_covers` keeps n <= EXACT_MAX_N.
+    """
+    fn = charging.g if which == "g" else charging.h
     nodes, weights = _gauss_legendre()
     r = np.arange(1, n + 1)
     # n! / ((r-1)! (n-r)!), the density of U_(r:n) over x^(r-1) (1-x)^(n-r)
@@ -470,7 +508,9 @@ def _order_statistic_table(fn, charging: ChargingFunction, n: int) -> np.ndarray
         xs = (0.5 * (b - a) * nodes + 0.5 * (a + b))[:, None]
         vals = fn(xs) * xs ** (r - 1) * (1.0 - xs) ** (n - r)
         total += 0.5 * (b - a) * (weights @ vals)
-    return coef * total
+    table = coef * total
+    table.setflags(write=False)
+    return table
 
 
 def exact_edge_covers(instance: Instance, charging: ChargingFunction) -> np.ndarray:
@@ -488,8 +528,8 @@ def exact_edge_covers(instance: Instance, charging: ChargingFunction) -> np.ndar
         raise TooLarge(f"exact edge cover is limited to n <= {EXACT_MAX_N}")
     # every permutation is a row: row[v] is v's position in that rank order
     positions = np.array(list(permutations(range(n))), dtype=np.intp)
-    eg = _order_statistic_table(charging.g, charging, n)
-    eh = _order_statistic_table(charging.h, charging, n)
+    eg = _order_statistic_table(charging, "g", n)
+    eh = _order_statistic_table(charging, "h", n)
     alpha, msize = _alphas(instance, positions, eg.__getitem__, eh.__getitem__)
     residual = np.abs(alpha.sum(axis=1) - msize).max()
     if residual > COND1_TOL:

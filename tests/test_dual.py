@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from itertools import permutations
@@ -17,6 +18,7 @@ from fomlab.charging import (
 )
 from fomlab.dual import (
     EXACT_MAX_N,
+    _order_statistic_table,
     assign_duals,
     exact_edge_cover,
     exact_edge_covers,
@@ -560,6 +562,22 @@ def test_victims_come_from_one_base_run_per_chunk(monkeypatch):
     assert calls == [None, None, None]
 
 
+def test_batch_rule_rejects_two_victims_for_one_column():
+    # in the triangle at these ranks, vertex 0 is active and 2 is its victim
+    inst = triangle()
+    matrix = np.array([[0.9, 0.3, 0.5]])
+    assert find_victim(inst, ranks_from_values(matrix[0]), 0) == 2
+    simulate_alphas_batch(inst, PIECEWISE, matrix)
+    # a CSR that lists the victim twice in vertex 0's row holds two victims
+    # for the column (row 0, w = 0); the kernel keeps the sound later CSR
+    indices = np.array([1, 2, 2, 0, 2, 0, 1], dtype=inst.indices.dtype)
+    indptr = np.array([0, 3, 5, 7], dtype=inst.indptr.dtype)
+    doubled = dataclasses.replace(inst, indptr=indptr, indices=indices)
+    doubled.__dict__["later"] = inst.later
+    with pytest.raises(InvariantViolated, match="multiple victims for vertex 0"):
+        simulate_alphas_batch(doubled, PIECEWISE, matrix)
+
+
 def test_batch_alphas_reject_nonfinite_ranks():
     matrix = np.array([[0.5, 0.2, 0.3], [0.5, math.inf, 0.3]])
     with pytest.raises(ParamsInvalid):
@@ -726,6 +744,18 @@ def test_exact_edge_cover_checks_mass_balance_on_every_order(monkeypatch):
         exact_edge_cover(path(4), (0, 1), PIECEWISE)
 
 
+def test_order_statistic_tables_are_cached_read_only():
+    for charging in (EXPONENTIAL, PIECEWISE, CAPPED):
+        for which in ("g", "h"):
+            for n in range(1, EXACT_MAX_N + 1):
+                table = _order_statistic_table(charging, which, n)
+                assert _order_statistic_table(charging, which, n) is table
+                fresh = _order_statistic_table.__wrapped__(charging, which, n)
+                assert np.array_equal(table, fresh)
+                with pytest.raises(ValueError):
+                    table[0] = 0.0
+
+
 def test_exact_edge_cover_size_limit():
     assert EXACT_MAX_N == 8
     inst = random_instance(9, 0.8, False, 0)
@@ -778,3 +808,36 @@ def test_determinism_across_worker_counts():
     a = verify_feasibility(inst, PIECEWISE, 0.5211, 10_000, 2, workers=1)
     b = verify_feasibility(inst, PIECEWISE, 0.5211, 10_000, 2, workers=3)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "inst, charging, target, seed, digest, min_mean",
+    [
+        (
+            random_instance(40, 0.15, False, 11),
+            PIECEWISE,
+            0.5211,
+            5,
+            "28bb58b6261c8536eaf518746b8680d12b13e67c549609057d00e2e40670c1c5",
+            0.5634776646186832,
+        ),
+        (
+            random_instance(40, 0.15, True, 12),
+            EXPONENTIAL,
+            0.5541,
+            6,
+            "2ae23910358f2a0c4171fadd4b9728881ace6859f888a581bcfa0a9d74133acf",
+            0.6295422217552744,
+        ),
+    ],
+    ids=["general-piecewise", "bipartite-exp"],
+)
+def test_verify_feasibility_outputs_are_pinned(inst, charging, target, seed, digest, min_mean):
+    # values of the per-vertex gain and compensation loops, at 8192 trials
+    # (two chunks): the whole-array dual rule must not move a single bit
+    for workers in (1, 2):
+        data = verify_feasibility(inst, charging, target, 8192, seed, workers).as_dict()
+        stats = json.dumps([[e["mean"], e["stderr"]] for e in data["edges"]])
+        assert hashlib.sha256(stats.encode()).hexdigest() == digest
+        assert data["summary"]["min_mean"] == min_mean
+        assert data["summary"]["pass"] and data["summary"]["cond1_violations"] == 0

@@ -1,6 +1,10 @@
 """Worker-count parsing and pool sizing.  No test here starts a pool: the
 executor is replaced by a recorder wherever run_chunked would start one."""
 
+import concurrent.futures
+import subprocess
+import sys
+
 import pytest
 
 import fomlab._parallel as par
@@ -66,7 +70,9 @@ class _RecordingPool:
 
 
 def test_run_chunked_sizes_its_pool_by_the_chunk_count(monkeypatch):
-    monkeypatch.setattr(par, "ProcessPoolExecutor", _RecordingPool)
+    # run_chunked imports the executor from concurrent.futures when it
+    # starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.sizes = []
     assert run_chunked(abs, [-1, -2, -3], workers=MAX_WORKERS) == [1, 2, 3]
     assert run_chunked(abs, [-4], workers=MAX_WORKERS) == [4]
@@ -74,3 +80,15 @@ def test_run_chunked_sizes_its_pool_by_the_chunk_count(monkeypatch):
     assert _RecordingPool.sizes == [3]
     with pytest.raises(ParamsInvalid):
         run_chunked(abs, [-1], workers="many")
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only a multi-chunk call at workers > 1 needs a pool
+    code = (
+        "import sys, fomlab.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
