@@ -6,8 +6,11 @@ The deadline vertex of each matched pair is labeled active, its partner
 passive.  `run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
 scalar engine in the test suite.  It works on integer rank positions
-(`rank_positions`), vertex-major, so that each deadline is one gather of its
-later-deadline neighbours' positions (`Instance.later`) and one min.
+(`rank_positions`, one sort of packed int64 keys per block of rows),
+vertex-major, so that each deadline is one gather of its later-deadline
+neighbours' positions (`Instance.later`) and one min.  The matching loop
+(`run_ranking_positions`) records each pair once, on its deadline side, with
+flat indices into the position arrays.
 """
 
 from __future__ import annotations
@@ -24,16 +27,16 @@ from .instance import Instance
 
 
 ARGSORT_ELEMENTS = 1 << 18
-"""Ranks argsorted at a time by `rank_positions` and `drawn_rank_positions`
+"""Ranks sorted at a time by `rank_positions` and `drawn_rank_positions`
 (whole rows, at least one).
 
 It bounds the scratch of one block, not K and V, which are kept whole.  A
-block holds the int64 argsort order and the float64 sorted copy for the tie
-check at once, 4 MiB at this size, and `drawn_rank_positions` adds the
-block's 2 MiB of drawn ranks.  On 200 x 10,000 ranks (26-row blocks), both
-peak at about 6 MiB above the 7.6 MiB of K and V they return (tracemalloc:
-11.9 MiB for `rank_positions`, 13.9 MiB for `drawn_rank_positions`), and
-the drawn form never holds the 15.3 MiB rank matrix."""
+block holds its int64 packed keys (2 MiB at this size) and its int16 order
+and positions, and `drawn_rank_positions` adds the block's 2 MiB of drawn
+ranks.  On 200 x 10,000 ranks (26-row blocks), the two peak at 2.8 and
+4.8 MiB above the 7.6 MiB of K and V they return (tracemalloc: 10.4 MiB for
+`rank_positions`, 12.4 MiB for `drawn_rank_positions`), and the drawn form
+never holds the 15.3 MiB rank matrix."""
 
 
 class Side(Enum):
@@ -196,7 +199,7 @@ def rank_positions(ranks_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (K, V), both (n x trials): K[v, t] is v's position in row t's
     rank order, ties going to the smaller vertex id, and V[p, t] is the
     vertex at position p.  Both are int16 when n < 2**15, int32 otherwise.
-    The rows are argsorted `ARGSORT_ELEMENTS` ranks at a time; where the
+    The rows are sorted `ARGSORT_ELEMENTS` ranks at a time; where the
     ranks are drawn uniform, `drawn_rank_positions` gives the same (K, V)
     without the matrix.  Raises ParamsInvalid unless every rank is finite.
     """
@@ -209,7 +212,7 @@ def drawn_rank_positions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`rank_positions(rng.random((trials, n)))` without the matrix.
 
-    The uniform ranks are drawn one argsort block of rows at a time; numpy's
+    The uniform ranks are drawn one block of rows at a time; numpy's
     generators fill an array in order, so the blocks hold the same numbers
     as the whole matrix would.
     """
@@ -222,7 +225,7 @@ def _positions(trials: int, n: int, rows) -> tuple[np.ndarray, np.ndarray]:
     dtype = np.int16 if n < 2**15 else np.int32
     K = np.empty((n, trials), dtype=dtype)
     V = np.empty((n, trials), dtype=dtype)
-    positions = np.arange(n, dtype=dtype)[:, None]
+    positions = np.arange(n, dtype=dtype)[None, :]
     block_rows = max(1, ARGSORT_ELEMENTS // max(1, n))
     for lo in range(0, trials, block_rows):
         hi = min(trials, lo + block_rows)
@@ -230,35 +233,72 @@ def _positions(trials: int, n: int, rows) -> tuple[np.ndarray, np.ndarray]:
         # checked a block at a time: a whole-matrix mask would raise peak RSS
         if not np.isfinite(block).all():
             raise ParamsInvalid("every rank in a batch must be finite")
-        order = np.argsort(block, axis=1)
-        # the default sort is not stable; only rows holding a tie need it
-        ranked = np.sort(block, axis=1)
-        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-        if tied.any():
-            order[tied] = np.argsort(block[tied], axis=1, kind="stable")
+        order = _order(block, n).astype(dtype, copy=False)
         V[:, lo:hi] = order.T
-        K[order.T, np.arange(lo, hi)] = positions
+        ranked = np.empty_like(order)
+        np.put_along_axis(ranked, order, positions, axis=1)
+        K[:, lo:hi] = ranked.T
         # freed before the next block is drawn, not after
         del block, order, ranked
     return K, V
 
 
+def _order(block: np.ndarray, n: int) -> np.ndarray:
+    """Each row's vertices in rank order, ties going to the smaller id.
+
+    Below n = 2**15 a row is sorted once, as int64 keys: its ranks as
+    float64, whose bits order like integers once a negative's magnitude
+    bits are flipped, with the low b bits replaced by the vertex id.  A row
+    where two adjacent keys share their high 64 - b bits (every exact tie
+    does) is argsorted stably on its ranks instead.  From n = 2**15 on, a
+    row meets such a near tie too often, and every row is argsorted.
+    """
+    if n >= 2**15:
+        order = np.argsort(block, axis=1)
+        # the default sort is not stable; only rows holding a tie need it
+        ranked = np.sort(block, axis=1)
+        near = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        del ranked
+    else:
+        b = (n - 1).bit_length()
+        # adding 0.0 turns -0.0 into 0.0, and is a float64 copy of any input
+        keys = np.add(block, 0.0, dtype=np.float64).view(np.int64)
+        if (keys < 0).any():
+            keys ^= (keys >> 63) & np.int64(2**63 - 1)
+        keys &= np.int64(-(1 << b))
+        keys |= np.arange(n, dtype=np.int64)
+        keys.sort(axis=1)
+        # the cast keeps the low 16 bits, which hold the id's b bits
+        order = keys.astype(np.int16)
+        order &= np.int16((1 << b) - 1)
+        keys >>= b
+        near = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+        del keys
+    if near.any():
+        order[near] = np.argsort(block[near], axis=1, kind="stable")
+    return order
+
+
 def run_ranking_positions(
     instance: Instance, K: np.ndarray, V: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Replay Ranking on every column of the rank positions (K, V).
 
     K and V are `rank_positions`' (n x trials) arrays; K[u] = n marks u as
-    removed.  K is overwritten.  Returns vertex-major (partner, active):
-    partner in K's dtype with -1 for unmatched, active a boolean array
-    marking deadline-side endpoints.  Build `instance.later` before K and V,
-    so that its scratch does not add to their peak.
+    removed.  K is overwritten.  Returns the vertex-major `choice`, in K's
+    dtype: each deadline-side vertex's partner, -1 everywhere else (so
+    `choice >= 0` marks the active entries, and each matched pair appears
+    once).  Build `instance.later` before K and V, so that its scratch does
+    not add to their peak.
     """
     n, trials = K.shape
+    # K_flat must be a view: the steps read what it writes
+    K = np.ascontiguousarray(K)
+    K_flat = K.reshape(-1)
+    V_flat = V.reshape(-1)
     later_ptr, later = instance.later
     ptr = later_ptr.tolist()
-    partner = np.full((n, trials), -1, dtype=K.dtype)
-    active = np.zeros((n, trials), dtype=bool)
+    choice = np.full((n, trials), -1, dtype=K.dtype)
     # K[u] = n marks u matched or removed; no step after v's deadline reads K[v]
     for v in instance.deadline_order:
         lo, hi = ptr[v], ptr[v + 1]
@@ -267,15 +307,14 @@ def run_ranking_positions(
         # where v is still free, each earlier-deadline neighbour had v as a
         # candidate at its own deadline and left it matched, so only the
         # later-deadline neighbours can be free
-        best = K[later[lo:hi]].min(axis=0)
+        best = np.minimum.reduce(K.take(later[lo:hi], axis=0), axis=0)
         # v decides where both v and its best neighbour are still unmatched
-        rows = np.flatnonzero(np.maximum(K[v], best) < n)
-        chosen = V[best[rows], rows]
-        partner[v, rows] = chosen
-        partner[chosen, rows] = v
-        active[v, rows] = True
-        K[chosen, rows] = n
-    return partner, active
+        rows = (np.maximum(K[v], best) < n).nonzero()[0]
+        # flat indices in intp: an int16 product would wrap past 2**15
+        chosen = V_flat[best[rows].astype(np.intp) * trials + rows]
+        choice[v, rows] = chosen
+        K_flat[chosen.astype(np.intp) * trials + rows] = n
+    return choice
 
 
 def run_ranking_batch(
@@ -302,5 +341,10 @@ def run_ranking_batch(
     K, V = rank_positions(ranks_matrix)
     if removed is not None:
         K[removed] = n
-    partner, active = run_ranking_positions(instance, K, V)
-    return partner.astype(np.int32, copy=False).T, active.T
+    choice = run_ranking_positions(instance, K, V)
+    active = choice >= 0
+    partner = choice.astype(np.int32)
+    # the passive side of each pair, in one scatter
+    deciders, cols = active.nonzero()
+    partner[choice[deciders, cols], cols] = deciders
+    return partner.T, active.T

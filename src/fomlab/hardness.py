@@ -322,8 +322,10 @@ def _sizes_chunk(args):
         K, V = rank_positions(np.asarray(instance.arrival_pos, dtype=float)[None])
     else:
         K, V = drawn_rank_positions(np.random.default_rng(key), rows, instance.n)
-    _, active = run_ranking_positions(instance, K, V)
-    return np.resize(active.sum(axis=0), rows)
+    choice = run_ranking_positions(instance, K, V)
+    # freed before the count's mask is built, not after
+    del K, V
+    return np.resize((choice >= 0).sum(axis=0), rows)
 
 
 def empirical_ratio(
@@ -339,7 +341,7 @@ def empirical_ratio(
     mapping a trial index to a fresh Instance (e.g. the random adversary
     tree).  Each distinct instance gets its OPT once and one run of the
     batch matching loop (`run_ranking_positions`) per block of rows, whose
-    uniform ranks are drawn one argsort block at a time
+    uniform ranks are drawn one sort block at a time
     (`drawn_rank_positions`), so no rank matrix is ever held whole.  A fixed
     instance's blocks are keyed [seed, block id] and spread over `workers`;
     trial t of a callable source is one row keyed [seed, t, 1], run here

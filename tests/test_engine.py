@@ -21,6 +21,7 @@ from fomlab.engine import (
     run_greedy,
     run_ranking,
     run_ranking_batch,
+    run_ranking_positions,
     run_without,
     sample_ranks,
 )
@@ -412,11 +413,13 @@ def test_drawn_positions_equal_positions_of_the_drawn_matrix():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "ARGSORT_ELEMENTS", block_rows * n)
                 rng = np.random.default_rng([n, 5])
-                want = rank_positions(rng.random((trials, n)))
+                matrix = rng.random((trials, n))
+                want = rank_positions(matrix)
                 drawing = np.random.default_rng([n, 5])
                 got = drawn_rank_positions(drawing, trials, n)
-            for a, b in zip(got, want):
+            for a, b, c in zip(got, want, _stable_positions(matrix)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (n, block_rows)
+                assert np.array_equal(a, c), (n, block_rows)
             # and it took exactly the matrix's numbers from the stream
             assert drawing.random() == rng.random()
 
@@ -447,3 +450,98 @@ def test_rank_positions_order_ties_by_vertex_id():
     assert V.T.tolist() == [[1, 3, 0, 2], [0, 3, 2, 1]]
     assert K.dtype == np.int16
 
+
+def _stable_positions(matrix):
+    """(K, V) by the definition: V is the stable argsort, K its inverse."""
+    order = np.argsort(matrix, axis=1, kind="stable")
+    inverse = np.argsort(order, axis=1, kind="stable")
+    return inverse.T, order.T
+
+
+def _near_tie_rows(rng, rows, n):
+    """Rows whose values 0.5 and its next float sit at ids 1 and 0: their
+    packed keys differ only in the id bits, which order them wrongly."""
+    matrix = rng.random((rows, n))
+    if n >= 2:
+        matrix[:, 0] = np.nextafter(0.5, 1.0)
+        matrix[:, 1] = 0.5
+    return matrix
+
+
+def _position_cases(rng, n):
+    rows = 7
+    plain = rng.random((rows, n))
+    signed = rng.normal(size=(rows, n))
+    zeros = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(rows, n))
+    subnormal = rng.integers(-40, 40, size=(rows, n)) * 5e-324
+    # the more negative value at the larger id
+    near_negative = -_near_tie_rows(rng, rows, n)[:, ::-1]
+    return {
+        "float64": plain,
+        "float32": plain.astype(np.float32),
+        "int": rng.integers(-5, 6, size=(rows, n)),
+        # distinct int64 values that round to one float64
+        "int64-wide": 2**60 + rng.permutation(rows * n).reshape(rows, n),
+        "signed": signed,
+        "signed-zeros": zeros,
+        "subnormal": subnormal,
+        "exact-ties": np.round(plain, 1),
+        "near-ties": _near_tie_rows(rng, rows, n),
+        "near-ties-negative": near_negative,
+        "mixed-rows": np.vstack([plain[:3], _near_tie_rows(rng, 2, n), plain[3:]]),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 300, 2**15 - 1, 2**15])
+def test_rank_positions_are_the_inverse_of_a_stable_argsort(n):
+    rng = np.random.default_rng(n)
+    cases = _position_cases(rng, n)
+    if n >= 2**14:  # a few of the cases, to keep the suite quick
+        cases = {k: cases[k] for k in ("float64", "exact-ties", "near-ties")}
+    dtype = np.int16 if n < 2**15 else np.int32
+    for name, matrix in cases.items():
+        want = _stable_positions(matrix)
+        # one block, then blocks of 2 rows, so that near-tie rows share a
+        # block with plain ones
+        for block_elements in (engine.ARGSORT_ELEMENTS, 2 * n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "ARGSORT_ELEMENTS", block_elements)
+                got = rank_positions(matrix)
+            for a, b in zip(got, want):
+                assert a.dtype == dtype and np.array_equal(a, b), (name, n)
+
+
+def test_int16_flat_indices_match_the_scalar_engine():
+    # 300 vertices x 200 trials: the loop's flat indices pass 2**15, so an
+    # int16 product would wrap
+    inst = random_instance(300, 0.02, False, 11)
+    matrix = np.random.default_rng(11).random((200, inst.n))
+    inst.later
+    K, V = rank_positions(matrix)
+    assert K.dtype == np.int16 and K.size > 2**15
+    partner, active = run_ranking_batch(inst, matrix)
+    for t, row in enumerate(matrix):
+        out = run_ranking(inst, ranks_from_values(row))
+        assert partner[t].tolist() == list(out.partner), t
+        assert active[t].tolist() == [r is Role.ACTIVE for r in out.role], t
+
+
+def test_choice_holds_each_pair_once_on_its_deadline_side():
+    rng = np.random.default_rng(12)
+    for inst in _kernel_instances():
+        matrix = _with_ties(rng.random((40, inst.n)))
+        inst.later
+        K, V = rank_positions(matrix)
+        choice = run_ranking_positions(inst, K, V)
+        partner, active = run_ranking_batch(inst, matrix)
+        assert choice.dtype == V.dtype and choice.shape == (inst.n, 40)
+        assert np.array_equal((choice >= 0).sum(axis=0), active.sum(axis=1))
+        assert np.array_equal(choice >= 0, active.T)
+        deciders, cols = np.nonzero(choice >= 0)
+        chosen = choice[deciders, cols].astype(np.intp)
+        dpos = np.array(inst.deadline_pos, dtype=np.int64)
+        assert (dpos[deciders] < dpos[chosen]).all()
+        assert (choice[chosen, cols] == -1).all()
+        assert (partner[cols, deciders] == chosen).all()
+        assert (partner[cols, chosen] == deciders).all()
+        assert (partner >= 0).sum() == 2 * len(deciders)

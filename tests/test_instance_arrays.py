@@ -283,3 +283,19 @@ def test_instance_arrays_are_read_only():
     for gen in (gen_ranking_hard(LayeredParams(3, 4)),
                 gen_adversary_tree(AdversaryTreeParams(2, 3, 1)), inst):
         assert "events" not in vars(gen) and gen.stream.dtype == np.int32
+
+
+def test_pickle_drops_the_tuple_views_and_keeps_later():
+    # a pool worker rebuilds the views it reads; `later` it would rebuild
+    # on every call, so it travels
+    bare = gen_ranking_hard(LayeredParams(8, 5))
+    bare.later
+    full = gen_ranking_hard(LayeredParams(8, 5))
+    full.later, full.events, full.edges, full.adj
+    assert len(pickle.dumps(bare)) == len(pickle.dumps(full))
+    copy = pickle.loads(pickle.dumps(full))
+    assert copy == full and hash(copy) == hash(full)
+    assert "later" in vars(copy)
+    assert not {"events", "edges", "adj"} & set(vars(copy))
+    assert copy.events == full.events
+    assert copy.edges == full.edges and copy.adj == full.adj
