@@ -31,11 +31,12 @@ ARGSORT_ELEMENTS = 1 << 18
 (whole rows, at least one).
 
 It bounds the scratch of one block, not K and V, which are kept whole.  A
-block holds its int64 packed keys (2 MiB at this size) and its int16 order
-and positions, and `drawn_rank_positions` adds the block's 2 MiB of drawn
-ranks.  On 200 x 10,000 ranks (26-row blocks), the two peak at 2.8 and
-4.8 MiB above the 7.6 MiB of K and V they return (tracemalloc: 10.4 MiB for
-`rank_positions`, 12.4 MiB for `drawn_rank_positions`), and the drawn form
+block holds its int64 packed keys, then its intp scatter indices (2 MiB
+each at this size, never both), and its int16 order and positions;
+`drawn_rank_positions` adds the block's 2 MiB of drawn ranks.  On
+200 x 10,000 ranks (26-row blocks), the two peak at 3.0 and 5.0 MiB above
+the 7.6 MiB of K and V they return (tracemalloc: 10.6 MiB for
+`rank_positions`, 12.6 MiB for `drawn_rank_positions`), and the drawn form
 never holds the 15.3 MiB rank matrix."""
 
 
@@ -225,7 +226,7 @@ def _positions(trials: int, n: int, rows) -> tuple[np.ndarray, np.ndarray]:
     dtype = np.int16 if n < 2**15 else np.int32
     K = np.empty((n, trials), dtype=dtype)
     V = np.empty((n, trials), dtype=dtype)
-    positions = np.arange(n, dtype=dtype)[None, :]
+    positions = np.arange(n, dtype=dtype)
     block_rows = max(1, ARGSORT_ELEMENTS // max(1, n))
     for lo in range(0, trials, block_rows):
         hi = min(trials, lo + block_rows)
@@ -233,47 +234,42 @@ def _positions(trials: int, n: int, rows) -> tuple[np.ndarray, np.ndarray]:
         # checked a block at a time: a whole-matrix mask would raise peak RSS
         if not np.isfinite(block).all():
             raise ParamsInvalid("every rank in a batch must be finite")
-        order = _order(block, n).astype(dtype, copy=False)
+        order = _order(block, n, dtype)
         V[:, lo:hi] = order.T
+        # each row's positions, scattered through flat intp indices
+        flat = order.astype(np.intp)
+        flat += (np.arange(hi - lo) * n)[:, None]
         ranked = np.empty_like(order)
-        np.put_along_axis(ranked, order, positions, axis=1)
+        ranked.reshape(-1)[flat] = positions
         K[:, lo:hi] = ranked.T
         # freed before the next block is drawn, not after
-        del block, order, ranked
+        del block, order, flat, ranked
     return K, V
 
 
-def _order(block: np.ndarray, n: int) -> np.ndarray:
+def _order(block: np.ndarray, n: int, dtype) -> np.ndarray:
     """Each row's vertices in rank order, ties going to the smaller id.
 
-    Below n = 2**15 a row is sorted once, as int64 keys: its ranks as
-    float64, whose bits order like integers once a negative's magnitude
-    bits are flipped, with the low b bits replaced by the vertex id.  A row
-    where two adjacent keys share their high 64 - b bits (every exact tie
-    does) is argsorted stably on its ranks instead.  From n = 2**15 on, a
-    row meets such a near tie too often, and every row is argsorted.
+    A row is sorted once, as int64 keys: its ranks as float64, whose bits
+    order like integers once a negative's magnitude bits are flipped, with
+    the low b bits replaced by the vertex id.  A row where two adjacent keys
+    share their high 64 - b bits (every exact tie does) is argsorted stably
+    on its ranks instead.
     """
-    if n >= 2**15:
-        order = np.argsort(block, axis=1)
-        # the default sort is not stable; only rows holding a tie need it
-        ranked = np.sort(block, axis=1)
-        near = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
-        del ranked
-    else:
-        b = (n - 1).bit_length()
-        # adding 0.0 turns -0.0 into 0.0, and is a float64 copy of any input
-        keys = np.add(block, 0.0, dtype=np.float64).view(np.int64)
-        if (keys < 0).any():
-            keys ^= (keys >> 63) & np.int64(2**63 - 1)
-        keys &= np.int64(-(1 << b))
-        keys |= np.arange(n, dtype=np.int64)
-        keys.sort(axis=1)
-        # the cast keeps the low 16 bits, which hold the id's b bits
-        order = keys.astype(np.int16)
-        order &= np.int16((1 << b) - 1)
-        keys >>= b
-        near = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
-        del keys
+    b = (n - 1).bit_length()
+    # adding 0.0 turns -0.0 into 0.0, and is a float64 copy of any input
+    keys = np.add(block, 0.0, dtype=np.float64).view(np.int64)
+    if (keys < 0).any():
+        keys ^= (keys >> 63) & np.int64(2**63 - 1)
+    keys &= np.int64(-(1 << b))
+    keys |= np.arange(n, dtype=np.int64)
+    keys.sort(axis=1)
+    # the cast keeps the low 16 or 32 bits, which hold the id's b bits
+    order = keys.astype(dtype)
+    order &= dtype((1 << b) - 1)
+    keys >>= b
+    near = (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+    del keys
     if near.any():
         order[near] = np.argsort(block[near], axis=1, kind="stable")
     return order
@@ -292,8 +288,7 @@ def run_ranking_positions(
     not add to their peak.
     """
     n, trials = K.shape
-    # K_flat must be a view: the steps read what it writes
-    K = np.ascontiguousarray(K)
+    # a view, as K is C-contiguous: the steps read what they write
     K_flat = K.reshape(-1)
     V_flat = V.reshape(-1)
     later_ptr, later = instance.later
