@@ -51,15 +51,25 @@ B2_CONSTANTS = PiecewiseConstants(
 CAP_OFFSET = 0.0128
 
 MAX_GRID_POINTS = 5001
-"""Largest grid axis, a step of 2e-4.  The bounds take O(points^2) time: the
-general bound takes 0.15-0.22 s there (2 vCPU Xeon, numpy 2.4), and each
-further halving of the step quadruples it.  Memory stays O(points) through
-the row blocks (a 3.0 MiB tracemalloc peak for the general bound)."""
+"""Largest grid axis, a step of 2e-4.  The general bound's qsuf loop takes
+O(points^2) time and each further halving of the step quadruples it: at 2e-4
+the general bound takes 0.045-0.06 s, 0.037-0.043 s of it in that loop, and
+the bipartite bound 0.03-0.19 s (2 vCPU Xeon, numpy 2.4).  Memory stays
+O(points) through the row blocks (a 1.0-2.1 MiB tracemalloc peak for the
+general bound, 2.7 MiB for the bipartite one)."""
 
 _ROW_BLOCK = 32
-"""Rows per block of the dense bound kernels.  Of 8-128 rows, the general
-bound's medians were 0.060-0.072 s at step 5e-4, 32 and 16 tied fastest,
-and 0.155-0.238 s at 2e-4, 16 fastest, 32 third (2 vCPU Xeon, 2 MiB L2)."""
+"""Rows per block of the bipartite bound and of minimize_psi1.  Of 16, 32
+and 64 rows, the bipartite bound at step 1e-3 took 2.2-2.5 ms at each, and
+minimize_psi1 8.3-9.0 ms, 11.2 ms at 16; at 2e-4 the bipartite bound read
+32-44 ms at 16 and 32 rows and 184 ms at 64 (2 vCPU Xeon, 2 MiB L2)."""
+
+_PRUNED_ROW_BLOCK = 64
+"""Rows per block of the general bound, whose blocks run on their pruned
+theta columns only: a larger block evaluates fewer bounding rows over the
+whole axis but keeps more columns.  Of 16-256 rows, its medians were 22.1,
+18.1, 15.0, 18.2 and 15.8 ms at step 5e-4 and 72.9, 56.7, 51.1, 51.0 and
+47.1 ms at 2e-4 (2 vCPU Xeon, interleaved in one process)."""
 
 
 @dataclass(frozen=True)
@@ -70,10 +80,20 @@ class BoundGrid:
         if not (math.isfinite(self.step) and 0.0 < self.step <= 1.0):
             raise ChargingInvalid(f"grid step must lie in (0, 1], got {self.step}")
         # the bounds take O(points^2) time, quadrupling with each halved step
-        if round(1.0 / self.step) + 1 > MAX_GRID_POINTS:
+        intervals = 1.0 / self.step
+        if round(intervals) + 1 > MAX_GRID_POINTS:
             raise TooLarge(
                 f"grid step {self.step} needs more than {MAX_GRID_POINTS} points"
                 f" per axis; the smallest step is {1.0 / (MAX_GRID_POINTS - 1)}"
+            )
+        # the axis has round(1 / step) intervals: any other step would be
+        # replaced by 1 / round(1 / step) without a word
+        if not math.isclose(intervals, round(intervals), rel_tol=1e-9):
+            ks = {math.floor(intervals), math.ceil(intervals)}
+            near = [1.0 / k for k in sorted(ks) if k < MAX_GRID_POINTS]
+            raise ChargingInvalid(
+                f"grid step {self.step} does not divide [0, 1] into whole steps;"
+                f" valid steps near it: {', '.join(map(str, near))}"
             )
 
     def axis(self) -> np.ndarray:
@@ -92,12 +112,12 @@ def _value(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def _by_row_blocks(n_rows: int, fn) -> np.ndarray:
-    """A length-n_rows array filled by fn(rows), one slice of at most
-    _ROW_BLOCK rows at a time."""
+def _by_row_blocks(n_rows: int, fn, size: int = _ROW_BLOCK) -> np.ndarray:
+    """A length-n_rows array filled by fn(rows), one slice of at most size
+    rows at a time."""
     out = np.empty(n_rows)
-    for start in range(0, n_rows, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    for start in range(0, n_rows, size):
+        rows = slice(start, start + size)
         out[rows] = fn(rows)
     return out
 
@@ -285,6 +305,18 @@ def ratio_bipartite(
 # -- general bound -----------------------------------------------------------
 
 
+def _psi1(theta, tau, ig_theta, h_theta, m_theta, m_tau, out=(None, None)):
+    """psi1 from its parts: the integral of g to theta, h(theta), and
+    m = min(g(y_u), phi) at theta and at tau, added left to right.  Given
+    two buffers of the (theta, tau) shape, every step writes into them."""
+    a, b = out
+    s = np.subtract(tau, theta, out=a)
+    s = np.multiply(s, h_theta, out=a)
+    s = np.add(ig_theta, s, out=a)
+    s = np.add(s, (1.0 - theta) * m_theta, out=a)
+    return np.add(s, np.multiply(theta, m_tau, out=b), out=a)
+
+
 def psi1(
     y_u: float,
     theta,
@@ -301,12 +333,11 @@ def psi1(
     if tau_side is Side.AT and np.any(tau == 1.0):
         raise OutOfDomain("tau must stay below 1; pass side JUST_BELOW for 1-minus")
     gy = charging.g(y_u)
-    return _value(
-        charging.g_integral(theta)
-        + (tau - theta) * charging.h(theta, theta_side)
-        + (1.0 - theta) * np.minimum(gy, charging.phi(theta, theta_side))
-        + theta * np.minimum(gy, charging.phi(tau, tau_side))
-    )
+    return _value(_psi1(
+        theta, tau, charging.g_integral(theta), charging.h(theta, theta_side),
+        np.minimum(gy, charging.phi(theta, theta_side)),
+        np.minimum(gy, charging.phi(tau, tau_side)),
+    ))
 
 
 def psi2(
@@ -337,9 +368,18 @@ def _f_general_matrix(
     window, min(phi(1-minus), h) without one.  With the stock piecewise
     constants h never exceeds phi(1-minus), and the clamp never binds.
 
-    The rows of y run in blocks of _ROW_BLOCK against theta rows computed
-    once, through two row buffers allocated once per call, so memory stays
-    O(len(xs)) while time is O(len(y) * len(xs)).
+    The rows of y run in blocks of _PRUNED_ROW_BLOCK, each against only the
+    theta columns that can hold one of its row minima.  Every op of `values`
+    is nondecreasing in g(y_u) (adds, minimums, and products with xs or
+    1 - xs, both >= 0), and so is each rounded result: the row at the
+    block's lowest g bounds every column from below, and the minimum of the
+    row at its highest g bounds every row minimum from above.  A column
+    whose lower bound exceeds that upper bound holds no row minimum, so the
+    minima over the kept columns equal those over all columns bitwise (the
+    column giving the upper bound is always kept).  On the sorted axis with
+    the stock piecewise pair a 64-row block keeps about 22 of 2,001 columns
+    at step 5e-4, so the O(len(xs)^2) qsuf loop takes most of the time.
+    Memory stays O(len(xs)).
     """
     xs = grid.axis()  # grid point at 1 means the 1-minus limit throughout
     n = len(xs)
@@ -354,19 +394,18 @@ def _f_general_matrix(
         q = h_lim[i] * xs[i:] + xs[i] * phi_lim[i:]
         qsuf[i] = q.min()
 
-    gy = charging.g_limit_grid(y)
-    xh = xs * h_lim
     rest = 1.0 - xs
-    clamp_window = rest * phi_one
-    # second branch, no compensation window (tau_m = 1): its y-free part
-    base2 = ig + rest * np.minimum(phi_one, h_lim)
-    one_minus_g = 1.0 - g_lim
-    # two row buffers for the whole call, each op writing into one of them
-    buf = np.empty((2, min(_ROW_BLOCK, len(y)), n))
+    # the y-free columns: the second branch (no compensation window, tau_m = 1)
+    # keeps ig + rest * min(phi_one, h_lim) as its base
+    table = np.stack([
+        xs, xs * h_lim, rest * phi_one, qsuf, phi_lim, rest, ig,
+        ig + rest * np.minimum(phi_one, h_lim), 1.0 - g_lim,
+    ])
 
-    def block(rows: slice) -> np.ndarray:
-        gy_col = gy[rows, None]
-        a, b = buf[:, : len(gy_col)]
+    def values(gy_col: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The bound at rows gy_col (a column) and the theta columns cols."""
+        xs, xh, clamp_window, qsuf, phi_lim, rest, ig, base2, one_minus_g = cols
+        a, b = np.empty((2, len(gy_col), len(xs)))
         # first branch: compensation window [theta, tau)
         np.multiply(xs, gy_col, out=a)
         np.add(xh, a, out=a)  # tau = theta
@@ -384,9 +423,17 @@ def _f_general_matrix(
         np.multiply(rest, a, out=a)
         np.add(base2, a, out=a)
         np.minimum(b, a, out=b)
-        return b.min(axis=1)
+        return b
 
-    return _by_row_blocks(len(y), block)
+    gy = charging.g_limit_grid(y)
+
+    def block(rows: slice) -> np.ndarray:
+        gy_col = gy[rows, None]
+        low, high = values(np.array([gy_col.min(0), gy_col.max(0)]), table)
+        keep = (low <= high.min()).nonzero()[0]
+        return values(gy_col, table[:, keep]).min(axis=1)
+
+    return _by_row_blocks(len(y), block, _PRUNED_ROW_BLOCK)
 
 
 def ratio_general(
@@ -432,15 +479,29 @@ def minimize_psi1(
 
     Each theta takes the minimum over the coarse tau grid cut to tau >= theta
     (grid points below theta stand in for tau = theta; tau = 1 means the
-    1-minus limit).
+    1-minus limit).  phi is elementwise, so phi(max(tau, theta)) is
+    phi(tau) where tau >= theta and phi(theta) elsewhere: phi runs once on
+    the tau grid and once per theta.
     """
     taus = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
+    side = Side.JUST_BELOW
+    gy = charging.g(y_u)
+    m_taus = np.minimum(gy, charging.phi(taus, side))
+    buf = np.empty((2, _ROW_BLOCK, len(taus)))
 
     def over_tau(thetas: np.ndarray) -> np.ndarray:
+        ig = charging.g_integral(thetas)[:, None]
+        h = charging.h(thetas, side)[:, None]
+        m = np.minimum(gy, charging.phi(thetas, side))[:, None]
+        th = thetas[:, None]
+
         def block(rows: slice) -> np.ndarray:
-            th, side = thetas[rows, None], Side.JUST_BELOW
-            tau = np.maximum(taus, th)
-            psi = psi1(y_u, th, tau, charging, theta_side=side, tau_side=side)
+            t = th[rows]
+            tau, m_tau = buf[:, : len(t)]
+            np.maximum(taus, t, out=tau)
+            np.copyto(m_tau, m[rows])
+            np.copyto(m_tau, m_taus, where=taus >= t)
+            psi = _psi1(t, tau, ig[rows], h[rows], m[rows], m_tau, (tau, m_tau))
             return psi.min(axis=1)
 
         return _by_row_blocks(len(thetas), block)

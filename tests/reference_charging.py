@@ -1,18 +1,34 @@
 """Whole-matrix references for the row-blocked bound kernels.
 
 These are the forms of `_f_bipartite_matrix`, `_f_general_matrix` and
-`minimize_psi1`'s `over_tau` that build every (rows x points) array at once.
-The blocked kernels in `fomlab.charging` must match them bitwise: each
-element goes through the same float operations, and a row minimum does not
-depend on how the rows are grouped.
+`minimize_psi1`'s `over_tau` that build every (rows x points) array at once,
+and of `psi1` that evaluates phi at every (theta, tau) point.  The kernels
+in `fomlab.charging` must match them bitwise: each element goes through the
+same float operations, and a row minimum does not depend on how the rows
+are grouped or on columns that cannot hold it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fomlab.charging import BoundGrid, ChargingFunction, psi1
+from fomlab.charging import BoundGrid, ChargingFunction
 from fomlab.engine import Side
+
+
+def reference_psi1(
+    y_u: float, theta, tau, charging: ChargingFunction, *,
+    theta_side: Side = Side.AT, tau_side: Side = Side.AT,
+):
+    """psi1 as one expression, without its domain checks."""
+    theta, tau = np.asarray(theta, dtype=float), np.asarray(tau, dtype=float)
+    gy = charging.g(y_u)
+    return (
+        charging.g_integral(theta)
+        + (tau - theta) * charging.h(theta, theta_side)
+        + (1.0 - theta) * np.minimum(gy, charging.phi(theta, theta_side))
+        + theta * np.minimum(gy, charging.phi(tau, tau_side))
+    )
 
 
 def reference_f_bipartite(
@@ -76,4 +92,6 @@ def reference_over_tau(
     taus = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
     th, side = thetas[:, None], Side.JUST_BELOW
     tau = np.maximum(taus, th)
-    return psi1(y_u, th, tau, charging, theta_side=side, tau_side=side).min(axis=1)
+    return reference_psi1(
+        y_u, th, tau, charging, theta_side=side, tau_side=side
+    ).min(axis=1)

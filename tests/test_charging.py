@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fomlab import charging as charging_mod
 from fomlab.charging import (
@@ -31,6 +33,7 @@ from reference_charging import (
     reference_f_bipartite,
     reference_f_general,
     reference_over_tau,
+    reference_psi1,
 )
 
 
@@ -104,8 +107,21 @@ def test_grid_validation():
     assert len(BoundGrid(step=1.0).axis()) == 2
 
 
+def test_grid_step_must_divide_the_unit_interval():
+    for step, intervals in [(1.0, 1), (0.1, 10), (1e-2, 100), (2e-3, 500),
+                            (1e-3, 1000), (5e-4, 2000), (2e-4, 5000),
+                            (1.0 / (MAX_GRID_POINTS - 1), MAX_GRID_POINTS - 1),
+                            (1.0 / 3, 3)]:
+        assert len(BoundGrid(step=step).axis()) == intervals + 1
+    for step, near in [(0.7, "1.0, 0.5"), (0.3, "0.3333333333333333, 0.25"),
+                       (3e-4, "0.00030003000300030005, 0.00029994001199760045")]:
+        match = f"grid step {step} .* near it: {near}$"
+        with pytest.raises(ChargingInvalid, match=match):
+            BoundGrid(step=step)
+
+
 def test_grid_size_limit():
-    # the general bound builds (points x points) arrays: 1e-5 would be ~80 GB each
+    # the bounds take O(points^2) time: 1e-5 would be 400 times the finest grid's
     for step in (1e-5, 1.9e-4):
         with pytest.raises(TooLarge):
             BoundGrid(step=step)
@@ -360,27 +376,69 @@ KERNELS = [
 ]
 
 
+def _spanning_rows(size: int) -> np.ndarray:
+    """0, 1, then the base-2 radical inverses 1/2, 1/4, 3/4, 1/8, ...: every
+    block of a few consecutive rows spans nearly all of [0, 1]."""
+    def radical_inverse(i):
+        bits = bin(i)[2:]
+        return int(bits[::-1], 2) / 2 ** len(bits)
+
+    return np.array([0.0, 1.0] + [radical_inverse(i) for i in range(1, size - 1)])
+
+
 def _y_rows(grid: BoundGrid) -> list:
-    """y arrays of 1, one block minus one, one block, one block plus one
-    row (random points with both ends of [0, 1]), and the whole axis."""
+    """y arrays of 1 row, one block minus one, one block and one block plus
+    one row for each block size (random points with both ends of [0, 1]),
+    rows whose every block spans g's whole range, and the whole axis."""
     rng = np.random.default_rng(11)
     ys = []
-    for size in (1, 31, 32, 33):
+    for size in (1, 31, 32, 33, 63, 64, 65):
         y = rng.random(size)
         y[0] = 1.0
         if size > 1:
             y[-1] = 0.0
         ys.append(y)
-    return ys + [grid.axis()]
+    return ys + [_spanning_rows(200), grid.axis()]
 
 
-@pytest.mark.parametrize("step", [1e-2, 1e-3, 5e-4])
+def _by_row_chunks(reference, y, ch, grid):
+    """The whole-matrix reference 625 rows at a time (a row does not depend
+    on the others): 25 MB per array at the finest step."""
+    return np.concatenate(
+        [reference(y[i : i + 625], ch, grid) for i in range(0, len(y), 625)]
+    )
+
+
+@pytest.mark.parametrize("step", [1e-2, 1e-3, 5e-4, 2e-4])
 @pytest.mark.parametrize("kernel, reference", KERNELS)
 def test_blocked_kernels_match_whole_matrix(kernel, reference, step):
     grid = BoundGrid(step)
     for ch in ALL_KINDS:
         for y in _y_rows(grid):
-            assert np.array_equal(kernel(y, ch, grid), reference(y, ch, grid))
+            assert np.array_equal(
+                kernel(y, ch, grid), _by_row_chunks(reference, y, ch, grid)
+            )
+
+
+@st.composite
+def piecewise_pairs(draw):
+    unit = st.floats(0.0, 1.0)
+    t = draw(st.floats(0.01, 0.99))
+    b, kg1, kg2, kh1 = (draw(unit) for _ in range(4))
+    return ChargingFunction(
+        ChargingKind.PIECEWISE_GENERAL,
+        PiecewiseConstants(t=t, kg1=kg1, kg2=kg2, b=b, kh1=kh1, kh2=kh1 * draw(unit)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(ch=piecewise_pairs(), step=st.sampled_from([1e-2, 2e-3]))
+def test_general_kernel_matches_whole_matrix_for_valid_piecewise_pairs(ch, step):
+    assume(check_properties(ch).passed)
+    grid = BoundGrid(step)
+    for y in (_spanning_rows(150), grid.axis()):
+        got = charging_mod._f_general_matrix(y, ch, grid)
+        assert np.array_equal(got, reference_f_general(y, ch, grid))
 
 
 @pytest.mark.parametrize("step", [1e-2, 1e-3, 5e-4])
@@ -413,10 +471,39 @@ def test_blocked_minimize_psi1_matches_whole_matrix(y_u, monkeypatch):
         assert repr(got) == repr(want)
         (over_tau,) = seen
         full = np.clip(np.arange(0.0, 1.0 + 5e-4, 1e-3), 0.0, 1.0)
-        for thetas in [rng.random(k) for k in (1, 31, 32, 33)] + [full]:
+        for thetas in [rng.random(k) for k in (1, 31, 32, 33)] + [
+            _spanning_rows(100), full,
+        ]:
             assert np.array_equal(
                 over_tau(thetas), reference_over_tau(y_u, thetas, ch)
             )
+
+
+@pytest.mark.parametrize("y_u", [0.0, 0.3, 0.77, 1.0])
+def test_psi1_matches_its_one_expression_form(y_u):
+    rng = np.random.default_rng(7)
+    below = Side.JUST_BELOW
+    for ch in ALL_KINDS:
+        # random (theta, tau) pairs broadcast from a column and a matrix
+        theta = rng.random((9, 1))
+        tau = theta + (1.0 - theta) * rng.random((9, 13))
+        tau[0, 0], theta[-1, 0] = theta[0, 0], 0.0
+        both = {"theta_side": below, "tau_side": below}
+        for sides in [{}, {"theta_side": below}, both]:
+            got = psi1(y_u, theta, tau, ch, **sides)
+            assert got.shape == (9, 13)
+            assert np.array_equal(got, reference_psi1(y_u, theta, tau, ch, **sides))
+        # tau = 1 asks for the 1-minus limit
+        tau[:, -1] = 1.0
+        got = psi1(y_u, theta, tau, ch, **both)
+        assert np.array_equal(got, reference_psi1(y_u, theta, tau, ch, **both))
+        one = psi1(y_u, 0.4, 1.0, ch, **both)
+        assert isinstance(one, float)
+        assert one == reference_psi1(y_u, 0.4, 1.0, ch, **both)
+        with pytest.raises(OutOfDomain, match="theta <= tau"):
+            psi1(y_u, np.array([0.2, 0.6]), np.array([0.5, 0.5]), ch, **both)
+        with pytest.raises(OutOfDomain, match="JUST_BELOW"):
+            psi1(y_u, theta, tau, ch, theta_side=below)
 
 
 def test_bound_values_pinned():
@@ -426,9 +513,8 @@ def test_bound_values_pinned():
 
 def test_bound_kernels_memory_stays_flat():
     # numpy reports its buffers to tracemalloc; the whole-matrix forms in
-    # reference_charging.py peak at about 1,145 / 382 / 47 MiB on these calls.
-    # The general bound's two row buffers keep it at 3.0-3.9 MiB (the first
-    # call in a process reads highest).
+    # reference_charging.py peak at about 1,145 / 382 / 47 MiB on these calls,
+    # the kernels at about 1.0-2.1 / 2.7 / 0.7 MiB.
     finest = BoundGrid(1.0 / (MAX_GRID_POINTS - 1))
     assert traced_peak_mib(lambda: ratio_general(PIECEWISE, finest)) < 5
     assert traced_peak_mib(lambda: ratio_bipartite(EXPONENTIAL, finest)) < 32

@@ -288,11 +288,14 @@ def test_check_charging_exponential():
 
 
 def test_check_charging_bad_grid():
-    for grid in ("0", "nan", "inf", "2"):
+    # 0.7 and 0.3 do not divide [0, 1] into whole steps
+    for grid in ("0", "nan", "inf", "2", "0.7", "0.3"):
         res = run_cli("check-charging", "--grid", grid)
         assert res.returncode == 2, (grid, res.stdout)
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
+    res = run_cli("check-charging", "--grid", "0.7")
+    assert "valid steps near it: 1.0, 0.5" in res.stderr
 
 
 def _cap_address_space():
