@@ -8,8 +8,9 @@ earlier deadline that is not passive without v can.
 Per-run duals follow the two-step rule literally: gain sharing on matched
 edges, then a compensation h(y_passive_partner) from every active vertex
 that has a victim.  A victim is defined by a counterfactual run with the
-active vertex removed; `find_victim` runs it in full.  The batch path runs
-no counterfactual at all: removing an active vertex changes Ranking's run
+active vertex removed; `find_victim` runs it in full and compares the
+partner lists.  The batch path runs no counterfactual at all: removing an
+active vertex changes Ranking's run
 along one alternating path, and the victim is where that path ends, so it
 follows each path through the base run's arrays.
 
@@ -39,10 +40,10 @@ from .engine import (
     Side,
     run_ranking,
     run_ranking_batch,
-    run_without,
 )
 from .errors import (
     ChargingInvalid,
+    IndexOutOfRange,
     InvariantViolated,
     NotActive,
     ParamsInvalid,
@@ -81,20 +82,23 @@ def marginal_rank(
     not passive there picks v at c if it is unmatched there, or if v's probe
     key (c, just-below, v) is below the key of its partner there.
     """
-    without = run_without(instance, ranks_others, v)  # checks the ranks' length
+    without = run_ranking(instance, ranks_others, removed=v)
+    partner, role = without.partner, without.role
     dpos = instance.deadline_pos
-    eligible = [
-        u
-        for u in instance.adj[v]
-        if dpos[u] < dpos[v] and without.role[u] is not Role.PASSIVE
-    ]
-    if any(without.partner[u] < 0 for u in eligible):
-        return MarginalRank(theta=_largest_candidate(ranks_others, v, math.inf, True))
-    if not eligible:
+    partners = []
+    for u in instance.adj[v]:
+        if dpos[u] < dpos[v] and role[u] is not Role.PASSIVE:
+            p = partner[u]
+            if p < 0:
+                return MarginalRank(
+                    theta=_largest_candidate(ranks_others, v, math.inf, True)
+                )
+            partners.append(p)
+    if not partners:
         return MarginalRank(theta=0.0)
     # (c, 0, v), v's key at (c, Side.JUST_BELOW), is below the limit key
     # (r, side, p) when c < r, or c == r and the limit is at r or p > v
-    r, side, p = max(ranks_others.key(without.partner[u]) for u in eligible)
+    r, side, p = max(map(ranks_others.key, partners))
     return MarginalRank(theta=_largest_candidate(ranks_others, v, r, side or p > v))
 
 
@@ -121,17 +125,18 @@ def find_victim(
     """The unique unmatched neighbor of active w that is matched without w.
 
     `outcome` is Ranking's run on `ranks`, when the caller already has it.
+    Raises IndexOutOfRange for w outside [0, n) before any run.
     """
+    n = instance.n
+    if not 0 <= w < n:
+        raise IndexOutOfRange(f"vertex {w} out of range [0, {n})")
     if outcome is None:
         outcome = run_ranking(instance, ranks)
     if outcome.role[w] is not Role.ACTIVE:
         raise NotActive(f"vertex {w} is not active under these ranks")
-    without = run_without(instance, ranks, w)
-    victims = [
-        z
-        for z in instance.adj[w]
-        if not outcome.is_matched(z) and without.is_matched(z)
-    ]
+    without = run_ranking(instance, ranks, removed=w).partner
+    base = outcome.partner
+    victims = [z for z in instance.adj[w] if base[z] < 0 and without[z] >= 0]
     if len(victims) > 1:
         raise InvariantViolated(f"multiple victims for {w}: {victims}")
     return victims[0] if victims else None

@@ -3,7 +3,11 @@
 Both Ranking and Greedy are lazy: all decisions happen at deadline events;
 Greedy is Ranking with arrival positions as ranks.
 The deadline vertex of each matched pair is labeled active, its partner
-passive.  `run_ranking_batch` is a numpy kernel that replays the same
+passive.  `run_ranking` is Ranking's one scalar loop; it is also the
+counterfactual run (`removed`) of `dual.marginal_rank` and
+`dual.find_victim`.  Its `MatchingOutcome` holds the partner and role
+lists, and builds `pairs` and `unmatched` only when they are read.
+`run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
 scalar engine in the test suite.  It works on integer rank positions
 (`rank_positions`, one sort of packed int64 keys per block of rows),
@@ -106,11 +110,27 @@ def sample_ranks(instance: Instance, seed: int) -> RankAssignment:
 
 @dataclass(frozen=True)
 class MatchingOutcome:
-    pairs: frozenset[tuple[int, int]]
-    partner: tuple[int, ...]  # -1 for unmatched
+    """One run of Ranking: each vertex's partner (-1 for unmatched) and role,
+    the vertex left out of the run, if any, and the trace when asked for.
+    `pairs` and `unmatched` are read off `partner` on first use and cached;
+    they take no part in equality, hashing or repr."""
+
+    partner: tuple[int, ...]
     role: tuple[Optional[Role], ...]
-    unmatched: frozenset[int]
+    removed: Optional[int] = None
     trace: Optional[tuple[str, ...]] = None
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The matched edges, each as (smaller id, larger id)."""
+        return frozenset((v, p) for v, p in enumerate(self.partner) if v < p)
+
+    @cached_property
+    def unmatched(self) -> frozenset[int]:
+        """The vertices of the run left unmatched (never `removed`)."""
+        return frozenset(
+            v for v, p in enumerate(self.partner) if p < 0 and v != self.removed
+        )
 
     @property
     def size(self) -> int:
@@ -135,47 +155,52 @@ def run_ranking(
 ) -> MatchingOutcome:
     """Lazy Ranking: a deadline vertex takes its min-rank unmatched neighbor.
 
-    The deadlines come in `instance.deadline_order`, the order of the
-    deadline events.  Every unmatched neighbour is a candidate, compared by
-    its `RankAssignment.key`, through the assignment's cached `positions`.
+    The deadlines come in `instance.deadline_order`; a free deadline vertex
+    takes its free neighbour of least `RankAssignment.key`, through the
+    assignment's cached `positions`.  `removed`, when given, takes no part
+    in the run; IndexOutOfRange unless it is in [0, n).  A vertex is free at
+    its own deadline unless it is passive, and a vertex left unmatched there
+    has no free neighbour later, so the trace follows from the final roles:
+    a passive vertex was already matched, an active one matched, and any
+    other went unmatched.
     """
     n = instance.n
     if len(ranks.ranks) != n:
         raise RankMissing(
             f"rank assignment covers {len(ranks.ranks)} of {n} vertices"
         )
-    position = ranks.positions.__getitem__
+    if removed is not None and not 0 <= removed < n:
+        raise IndexOutOfRange(f"vertex {removed} out of range [0, {n})")
+    position = ranks.positions
     adj = instance.adj
     partner = [-1] * n
     role: list[Optional[Role]] = [None] * n
-    pairs = []
-    trace: Optional[list[str]] = [] if with_trace else None
     for v in instance.deadline_order:
-        if v == removed:
+        if partner[v] >= 0 or v == removed:
             continue
-        if partner[v] >= 0:
-            if trace is not None:
-                trace.append(_trace_line(v, partner[v], "already-matched", ranks))
-            continue
-        candidates = [u for u in adj[v] if partner[u] < 0 and u != removed]
-        u = min(candidates, key=position) if candidates else None
-        if u is not None:
-            partner[v] = u
-            partner[u] = v
+        best = n
+        for u in adj[v]:
+            if partner[u] < 0 and position[u] < best and u != removed:
+                best = position[u]
+                pick = u
+        if best < n:
+            partner[v] = pick
+            partner[pick] = v
             role[v] = Role.ACTIVE
-            role[u] = Role.PASSIVE
-            pairs.append((v, u) if v < u else (u, v))
-        if trace is not None:
-            trace.append(_trace_line(v, u, "match", ranks))
-    return MatchingOutcome(
-        pairs=frozenset(pairs),
-        partner=tuple(partner),
-        role=tuple(role),
-        unmatched=frozenset(
-            v for v in range(n) if partner[v] < 0 and v != removed
-        ),
-        trace=tuple(trace) if trace is not None else None,
-    )
+            role[pick] = Role.PASSIVE
+    trace = None
+    if with_trace:
+        trace = tuple(
+            _trace_line(
+                v,
+                partner[v] if partner[v] >= 0 else None,
+                "already-matched" if role[v] is Role.PASSIVE else "match",
+                ranks,
+            )
+            for v in instance.deadline_order
+            if v != removed
+        )
+    return MatchingOutcome(tuple(partner), tuple(role), removed, trace)
 
 
 def run_greedy(instance: Instance) -> MatchingOutcome:
@@ -183,15 +208,6 @@ def run_greedy(instance: Instance) -> MatchingOutcome:
     neighbor.  That is Ranking with each vertex ranked by its arrival position
     (positions are unique, so no tie reaches the vertex-id rule)."""
     return run_ranking(instance, ranks_from_values(instance.arrival_pos))
-
-
-def run_without(
-    instance: Instance, ranks: RankAssignment, removed: int
-) -> MatchingOutcome:
-    """Ranking on the sub-instance with `removed` and its edges deleted."""
-    if not 0 <= removed < instance.n:
-        raise IndexOutOfRange(f"vertex {removed} out of range [0, {instance.n})")
-    return run_ranking(instance, ranks, removed=removed)
 
 
 def rank_positions(ranks_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

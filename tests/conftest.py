@@ -7,6 +7,7 @@ import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fomlab.engine import RankAssignment, Side, ranks_from_values
@@ -109,6 +110,34 @@ def enumerate_rank_orders(instance: Instance):
     values = representative_ranks(instance.n)
     for perm in permutations(range(instance.n)):
         yield ranks_from_values([values[perm[v]] for v in range(instance.n)])
+
+
+def reference_rank_variants(ranks):
+    """The rank order itself, the order with ties (ranks 0 and 0.5 only), and
+    the tied order with every odd vertex at its just-below side."""
+    tied = [float(int(2 * r)) / 2 for r in ranks.ranks]
+    sides = [Side.JUST_BELOW if v % 2 else Side.AT for v in range(len(tied))]
+    return [ranks, ranks_from_values(tied), ranks_from_values(tied, sides)]
+
+
+def reference_cases():
+    """(instance, ranks) pairs for comparing the scalar engine with the
+    references in `reference_engine`: every rank order of every n <= 5
+    curated instance in its `reference_rank_variants`, then 200 random
+    instances with n <= 14, each at uniform ranks and at half-step ranks
+    that tie, with random just-below sides."""
+    for inst in small_instance_collection():
+        if inst.n <= 5:
+            for order in enumerate_rank_orders(inst):
+                for ranks in reference_rank_variants(order):
+                    yield inst, ranks
+    rng = np.random.default_rng(12)
+    for i in range(200):
+        n = int(rng.integers(1, 15))
+        inst = random_instance(n, float(rng.uniform(0.2, 0.9)), bool(i % 2), 700 + i)
+        sides = [Side.JUST_BELOW if b else Side.AT for b in rng.integers(0, 2, n)]
+        for values in (rng.random(n), rng.integers(0, 3, n) / 2):
+            yield inst, ranks_from_values(values, sides)
 
 
 @pytest.fixture(scope="session")

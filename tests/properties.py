@@ -9,7 +9,6 @@ from fomlab.engine import (
     Role,
     Side,
     run_ranking,
-    run_without,
 )
 from fomlab.instance import Instance
 
@@ -88,7 +87,7 @@ def check_alternating_path(instance: Instance, ranks: RankAssignment) -> None:
     for u in range(instance.n):
         if not out.is_matched(u):
             continue
-        without = run_without(instance, ranks, u)
+        without = run_ranking(instance, ranks, removed=u)
         diff = out.pairs ^ without.pairs
         # walk the path from u, alternating M(y) and M(y - u) edges
         path = [u]

@@ -4,16 +4,18 @@
 candidates through `RankAssignment.key`, one call per candidate.
 `reference_assign_duals` evaluates g and h on one passive partner's rank at
 a time and finds each victim by a full run without the active vertex.
-`fomlab.engine.run_ranking` and `fomlab.dual.assign_duals` must equal them
-with `==`.
+`reference_marginal_rank` reads the roles of a full reference run without
+v.  `fomlab.engine.run_ranking`, `fomlab.dual.assign_duals` and
+`fomlab.dual.marginal_rank` must equal them with `==`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from fomlab.charging import ChargingFunction
-from fomlab.dual import COND1_TOL, DualAssignment
+from fomlab.dual import COND1_TOL, DualAssignment, MarginalRank, _largest_candidate
 from fomlab.engine import MatchingOutcome, RankAssignment, Role, _trace_line
 from fomlab.errors import InvariantViolated, RankMissing
 from fomlab.instance import EventKind, Instance
@@ -53,14 +55,30 @@ def reference_run_ranking(
         if trace is not None:
             trace.append(_trace_line(v, u, "match", ranks))
     return MatchingOutcome(
-        pairs=frozenset((v, p) for v, p in enumerate(partner) if 0 <= v < p),
         partner=tuple(partner),
         role=tuple(role),
-        unmatched=frozenset(
-            v for v in range(instance.n) if partner[v] < 0 and v != removed
-        ),
+        removed=removed,
         trace=tuple(trace) if trace is not None else None,
     )
+
+
+def reference_marginal_rank(
+    instance: Instance, ranks_others: RankAssignment, v: int
+) -> MarginalRank:
+    """`marginal_rank`'s one-run rule, with passive read from the roles."""
+    without = reference_run_ranking(instance, ranks_others, removed=v)
+    dpos = instance.deadline_pos
+    eligible = [
+        u
+        for u in instance.adj[v]
+        if dpos[u] < dpos[v] and without.role[u] is not Role.PASSIVE
+    ]
+    if any(without.partner[u] < 0 for u in eligible):
+        return MarginalRank(theta=_largest_candidate(ranks_others, v, math.inf, True))
+    if not eligible:
+        return MarginalRank(theta=0.0)
+    r, side, p = max(ranks_others.key(without.partner[u]) for u in eligible)
+    return MarginalRank(theta=_largest_candidate(ranks_others, v, r, side or p > v))
 
 
 def reference_find_victim(

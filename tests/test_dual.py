@@ -7,7 +7,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from conftest import cycle, path, single_edge, small_instance_collection, triangle
+from conftest import (
+    cycle,
+    path,
+    reference_cases,
+    single_edge,
+    small_instance_collection,
+    triangle,
+)
 from fomlab.charging import (
     B2_CONSTANTS,
     CAPPED,
@@ -34,11 +41,11 @@ from fomlab.engine import (
     ranks_from_values,
     run_ranking,
     run_ranking_batch,
-    run_without,
     sample_ranks,
 )
 from fomlab.errors import (
     ChargingInvalid,
+    IndexOutOfRange,
     InvariantViolated,
     NotActive,
     OutOfDomain,
@@ -47,7 +54,7 @@ from fomlab.errors import (
     TooLarge,
 )
 from fomlab.instance import A, D, build_instance, random_instance
-from reference_engine import reference_assign_duals
+from reference_engine import reference_assign_duals, reference_marginal_rank
 
 
 def test_marginal_rank_single_edge():
@@ -151,7 +158,7 @@ def test_marginal_rank_matches_scan_on_random_instances():
 def _marginal_rank_one_run(inst, ranks_others, v):
     """Reference for marginal_rank: its one-run rule with the candidate set
     and every key built per call, and eligibility by `earlier_deadline`."""
-    without = run_without(inst, ranks_others, v)
+    without = run_ranking(inst, ranks_others, removed=v)
     candidates = {ranks_others.ranks[u] for u in range(inst.n) if u != v} | {1.0}
     eligible = [
         u
@@ -207,6 +214,22 @@ def test_marginal_rank_corner_cases():
     assert marginal_rank(inst, ranks, 2).theta == _marginal_rank_scan(inst, ranks, 2) == 0.0
 
 
+def test_marginal_rank_matches_role_reference():
+    # the rule on run_ranking's roles against the same rule on the reference
+    # event walk's, on every reference case
+    for inst, ranks in reference_cases():
+        for v in range(inst.n):
+            got = marginal_rank(inst, ranks, v)
+            assert got == reference_marginal_rank(inst, ranks, v), (inst, ranks, v)
+
+
+@pytest.mark.parametrize("v", [99, 6, -1, -7])
+def test_marginal_rank_rejects_vertices_out_of_range(v):
+    inst = random_instance(6, 0.6, False, 1)
+    with pytest.raises(IndexOutOfRange):
+        marginal_rank(inst, sample_ranks(inst, 2), v)
+
+
 def test_marginal_rank_makes_one_scalar_run(small_instances, monkeypatch):
     import fomlab.dual as dual_mod
     import fomlab.engine as engine_mod
@@ -252,6 +275,27 @@ def test_find_victim_requires_active():
         find_victim(inst, ranks, 1)
 
 
+@pytest.mark.parametrize("w", [99, 3, -1, -3])
+def test_find_victim_rejects_vertices_out_of_range(w, monkeypatch):
+    import fomlab.dual as dual_mod
+
+    # vertex 2 decides first and is active: read as vertex n - 1, w = -1
+    # would find its victim
+    events = [A(0), A(1), A(2), D(2), D(0), D(1)]
+    inst = build_instance(3, events, [(0, 1), (1, 2), (0, 2)])
+    ranks = ranks_from_values([0.3, 0.6, 0.9])
+    outcome = run_ranking(inst, ranks)
+    assert outcome.role[2] is Role.ACTIVE
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("Ranking ran")
+
+    monkeypatch.setattr(dual_mod, "run_ranking", no_run)
+    for given in (None, outcome):
+        with pytest.raises(IndexOutOfRange):
+            find_victim(inst, ranks, w, given)
+
+
 def test_find_victim_takes_the_base_outcome(small_instances, monkeypatch):
     import fomlab.dual as dual_mod
 
@@ -262,17 +306,20 @@ def test_find_victim_takes_the_base_outcome(small_instances, monkeypatch):
         for w in range(inst.n):
             if outcome.role[w] is Role.ACTIVE:
                 assert find_victim(inst, ranks, w, outcome) == find_victim(inst, ranks, w)
-    # assign_duals runs the base Ranking once per rank vector
+    # assign_duals runs the base Ranking once per rank vector, and then one
+    # run without each active vertex, to find its victim
     calls = []
     real = dual_mod.run_ranking
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("removed"))
         return real(*args, **kwargs)
 
+    ranks = ranks_from_values([0.9, 0.3, 0.6])
+    role = run_ranking(triangle(), ranks).role
     monkeypatch.setattr(dual_mod, "run_ranking", counting)
-    assign_duals(triangle(), ranks_from_values([0.9, 0.3, 0.6]), PIECEWISE)
-    assert len(calls) == 1
+    assign_duals(triangle(), ranks, PIECEWISE)
+    assert calls == [None] + [w for w in range(3) if role[w] is Role.ACTIVE]
     # exact_edge_cover runs every rank order as one row of a single batch call
     calls.clear()
     batch_calls = []

@@ -6,6 +6,8 @@ import pytest
 from conftest import (
     enumerate_rank_orders,
     path,
+    reference_cases,
+    reference_rank_variants,
     single_edge,
     small_instance_collection,
     star,
@@ -22,7 +24,6 @@ from fomlab.engine import (
     run_ranking,
     run_ranking_batch,
     run_ranking_positions,
-    run_without,
     sample_ranks,
 )
 from fomlab.errors import IndexOutOfRange, ParamsInvalid, RankMissing
@@ -153,22 +154,24 @@ def test_ranking_half_of_opt():
 def test_run_without_single_edge():
     inst = single_edge()
     ranks = ranks_from_values([0.4, 0.6])
-    assert run_without(inst, ranks, 0).size == 0
-    assert run_without(inst, ranks, 1).size == 0
+    assert run_ranking(inst, ranks, removed=0).size == 0
+    assert run_ranking(inst, ranks, removed=1).size == 0
 
 
 def test_run_without_triangle():
     inst = triangle()
     ranks = ranks_from_values([0.5, 0.2, 0.8])
-    assert run_without(inst, ranks, 0).pairs == frozenset({(1, 2)})
+    assert run_ranking(inst, ranks, removed=0).pairs == frozenset({(1, 2)})
 
 
 def test_run_without_isolated_vertex():
     inst = build_instance(3, [A(0), A(1), A(2), D(0), D(1), D(2)], [(0, 1)])
     ranks = ranks_from_values([0.3, 0.6, 0.9])
-    assert run_without(inst, ranks, 2).pairs == run_ranking(inst, ranks).pairs
+    without = run_ranking(inst, ranks, removed=2)
+    assert without.pairs == run_ranking(inst, ranks).pairs
+    assert without.unmatched == frozenset()
     with pytest.raises(IndexOutOfRange):
-        run_without(inst, ranks, 5)
+        run_ranking(inst, ranks, removed=5)
 
 
 def test_just_below_side_breaks_ties():
@@ -188,14 +191,6 @@ def test_trace_format():
     )
 
 
-def _reference_rank_variants(ranks):
-    """The rank order itself, the order with ties (ranks 0 and 0.5 only), and
-    the tied order with every odd vertex at its just-below side."""
-    tied = [float(int(2 * r)) / 2 for r in ranks.ranks]
-    sides = [Side.JUST_BELOW if v % 2 else Side.AT for v in range(len(tied))]
-    return [ranks, ranks_from_values(tied), ranks_from_values(tied, sides)]
-
-
 def test_run_ranking_matches_event_walk_exhaustively():
     """Every rank order of every n <= 5 instance, with ties and just-below
     sides, every removed vertex and traces: the deadline-order walk equals
@@ -204,7 +199,7 @@ def test_run_ranking_matches_event_walk_exhaustively():
         if inst.n > 5:
             continue
         for order in enumerate_rank_orders(inst):
-            for ranks in _reference_rank_variants(order):
+            for ranks in reference_rank_variants(order):
                 for removed in [None, *range(inst.n)]:
                     for with_trace in (False, True):
                         got = run_ranking(
@@ -234,6 +229,41 @@ def test_run_ranking_matches_event_walk_random():
                 )
 
 
+def test_run_ranking_matches_event_walk_every_removed():
+    """On every reference case and every removed vertex, the run equals the
+    reference event walk's, and its pairs and unmatched vertices, read off
+    the partner list on use, are the ones the reference's roles give."""
+    for inst, ranks in reference_cases():
+        for removed in [None, *range(inst.n)]:
+            got = run_ranking(inst, ranks, removed=removed)
+            want = reference_run_ranking(inst, ranks, removed=removed)
+            assert got == want, (inst, ranks, removed)
+            role = want.role
+            assert got.pairs == {
+                (min(v, p), max(v, p))
+                for v, p in enumerate(want.partner)
+                if role[v] is Role.ACTIVE
+            }
+            assert got.unmatched == {
+                v for v in range(inst.n) if role[v] is None and v != removed
+            }
+
+
+@pytest.mark.parametrize("removed", [99, 6, -1, -7])
+def test_scalar_removed_out_of_range(removed):
+    # scalar and batch runs reject the same vertices
+    inst = random_instance(6, 0.6, False, 1)
+    ranks = sample_ranks(inst, 2)
+    runs = [
+        lambda: run_ranking(inst, ranks, removed=removed),
+        lambda: run_ranking(inst, ranks, removed=removed, with_trace=True),
+        lambda: run_ranking_batch(inst, np.array([ranks.ranks]), removed),
+    ]
+    for run in runs:
+        with pytest.raises(IndexOutOfRange):
+            run()
+
+
 def test_batch_matches_scalar_exhaustively():
     """The numpy kernel must replay the scalar engine exactly."""
     for inst in small_instance_collection():
@@ -260,7 +290,7 @@ def test_batch_matches_scalar_random():
             ranks = ranks_from_values(matrix[i])
             out = run_ranking(inst, ranks)
             assert tuple(partner[i]) == out.partner
-            out_wo = run_without(inst, ranks, removed)
+            out_wo = run_ranking(inst, ranks, removed=removed)
             assert tuple(partner_wo[i]) == out_wo.partner
 
 

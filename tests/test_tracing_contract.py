@@ -84,7 +84,7 @@ def test_installed_tracer_sees_each_generator_build(tracing):
 
 def test_traced_marginal_rank_records_one_scalar_run(tracing):
     # marginal_rank runs Ranking once, without v, through engine.run_ranking
-    # (by way of run_without); the tracer counts that span as its child
+    # (removed=v); the tracer counts that span as its child
     inst = random_instance(9, 0.5, False, 3)
     ranks = fomlab.engine.ranks_from_values(np.random.default_rng(3).random(inst.n))
     tracer = tracing.Tracer()
