@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ParamsInvalid
+from .errors import ParamsInvalid, TooLarge
 
 CHUNK_SIZE = 4096
 MAX_WORKERS = 1024
@@ -39,6 +39,27 @@ def resolve_workers(workers=None) -> int:
 def pool_size(workers, tasks: int) -> int:
     """Processes `run_chunked` uses for `tasks` chunks: at most one each."""
     return min(resolve_workers(workers), tasks)
+
+
+MAX_TRIALS = 1 << 25
+"""Trial budget of `verify_feasibility` and `empirical_ratio`, 335 times the
+100,000 trials of a dual-fitting cross-check.
+
+`empirical_ratio` keeps every trial's ratio until its mean: it peaks at
+32 B per trial for Ranking and 40 B for Greedy on a fixed instance
+(tracemalloc, a 4-vertex path at 2^20 and 2^22 trials), 1.0 to 1.25 GiB at
+the budget.  `verify_feasibility` keeps no per-trial array, but its 8,192
+chunks at the budget each hold their arguments and two floats per edge
+until the reduction."""
+
+
+def check_trials(trials: int) -> None:
+    """Raise ParamsInvalid below 1 trial and TooLarge above MAX_TRIALS,
+    before any chunk list is built."""
+    if trials < 1:
+        raise ParamsInvalid(f"need trials >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise TooLarge(f"{trials} trials are above the budget of {MAX_TRIALS}")
 
 
 def chunk_sizes(total: int, chunk_size: int = CHUNK_SIZE) -> list[int]:

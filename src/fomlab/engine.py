@@ -355,7 +355,14 @@ def run_ranking_batch(
     choice = run_ranking_positions(instance, K, V)
     active = choice >= 0
     partner = choice.astype(np.int32)
-    # the passive side of each pair, in one scatter
-    deciders, cols = active.nonzero()
-    partner[choice[deciders, cols], cols] = deciders
+    # the passive side of each pair, in one scatter: (v, t) at flat index
+    # act has its partner p at act + (p - v) * trials, computed in intp, as
+    # an int16 product would wrap past 2**15
+    act = np.flatnonzero(active)
+    deciders = act // trials
+    passive = choice.reshape(-1)[act].astype(np.intp)
+    passive -= deciders
+    passive *= trials
+    passive += act
+    partner.reshape(-1)[passive] = deciders
     return partner.T, active.T

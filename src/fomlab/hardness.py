@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._parallel import chunk_sizes, run_chunked
+from ._parallel import check_trials, chunk_sizes, run_chunked
 from .engine import drawn_rank_positions, rank_positions, run_ranking_positions
 # `run_ranking` and `run_ranking_batch` are not called here; the benchmark's
 # tracer rebinds them in this module, and tests/test_tracing_contract.py
@@ -348,8 +348,7 @@ def empirical_ratio(
     (numpy drops a trailing 0, so a tag 0 would repeat the CLI's tree key
     [seed, t]).  Greedy runs one row per instance.
     """
-    if trials < 1:
-        raise ParamsInvalid(f"need trials >= 1, got {trials}")
+    check_trials(trials)
     if algorithm not in ("ranking", "greedy"):
         raise ParamsInvalid(f"unknown algorithm {algorithm!r}")
 

@@ -415,6 +415,23 @@ def test_bad_worker_count_exits_2(instance_file, value):
     assert res.returncode == 2 and "Traceback" not in res.stderr
 
 
+def test_trials_above_the_budget_exit_2(instance_file):
+    from fomlab._parallel import MAX_TRIALS
+
+    over = str(MAX_TRIALS + 1)
+    for args in (
+        ["verify-duals", "--instance", str(instance_file), "--target", "0.5"],
+        ["ratio", "--instance", str(instance_file)],
+        ["ratio", "--family", "adversary-tree"],
+    ):
+        for trials in (over, "1000000000000000"):
+            res = run_cli(*args, "--trials", trials)
+            assert res.returncode == 2, (args, res.stderr)
+            assert "Traceback" not in res.stderr
+            assert "budget" in res.stderr
+            assert res.stdout == ""
+
+
 @pytest.mark.parametrize("family", ["adversary-tree", "ranking-hard"])
 def test_generator_above_edge_budget_exits_2(family):
     start = time.perf_counter()

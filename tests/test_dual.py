@@ -54,6 +54,7 @@ from fomlab.errors import (
     TooLarge,
 )
 from fomlab.instance import A, D, build_instance, random_instance
+from reference_dual import reference_alphas, reference_exact_edge_covers
 from reference_engine import reference_assign_duals, reference_marginal_rank
 
 
@@ -505,11 +506,24 @@ def _alphas_full_replay(inst, charging, matrix):
 
 
 def _assert_matches_full_replay(inst, charging, matrix):
+    """Checks simulate_alphas_batch bitwise against the full replay and the
+    trial-major form of the rule; returns the replay's paid count."""
     alpha, msize = simulate_alphas_batch(inst, charging, matrix)
     ref_alpha, ref_msize, paid = _alphas_full_replay(inst, charging, matrix)
     assert np.array_equal(alpha, ref_alpha)
     assert np.array_equal(msize, ref_msize)
+    _assert_matches_trial_major_reference(inst, charging, matrix)
     return paid
+
+
+def _assert_matches_trial_major_reference(inst, charging, matrix):
+    alpha, msize = simulate_alphas_batch(inst, charging, matrix)
+    ref_alpha, ref_msize = reference_alphas(
+        inst, matrix, charging.g_limit_grid, charging.h_limit_grid
+    )
+    assert alpha.shape == ref_alpha.shape == matrix.shape
+    assert np.array_equal(alpha, ref_alpha)
+    assert np.array_equal(msize, ref_msize)
 
 
 def test_batch_alphas_match_full_replay_small(small_instances):
@@ -588,6 +602,62 @@ def test_batch_alphas_without_edges():
         assert not alpha.any() and not msize.any()
         _assert_matches_full_replay(inst, PIECEWISE, matrix)
     assert verify_feasibility(inst, PIECEWISE, 0.5, 10, 0).passed
+
+
+def _reference_case_matrices():
+    """`reference_cases()` as one rank matrix per instance: the batch rule
+    reads the rank values only, every side being At."""
+    groups = []
+    for inst, ranks in reference_cases():
+        if not groups or groups[-1][0] is not inst:
+            groups.append((inst, []))
+        groups[-1][1].append(ranks.ranks)
+    return [(inst, np.array(rows).reshape(len(rows), inst.n)) for inst, rows in groups]
+
+
+def test_batch_alphas_match_trial_major_reference_on_reference_cases():
+    for inst, matrix in _reference_case_matrices():
+        for charging in (EXPONENTIAL, PIECEWISE):
+            _assert_matches_trial_major_reference(inst, charging, matrix)
+
+
+def test_exact_edge_covers_match_trial_major_reference(small_instances):
+    edgeless = [
+        build_instance(n, [A(v) for v in range(n)] + [D(v) for v in range(n)], [])
+        for n in (0, 3)
+    ]
+    for inst in small_instances + edgeless + [random_instance(7, 0.5, False, 9)]:
+        for charging in (EXPONENTIAL, PIECEWISE, CAPPED):
+            assert np.array_equal(
+                exact_edge_covers(inst, charging),
+                reference_exact_edge_covers(inst, charging),
+            ), (inst, charging)
+
+
+def test_batch_alphas_are_a_view_of_a_vertex_major_array():
+    matrix = np.random.default_rng(33).random((7, 5))
+    alpha, msize = simulate_alphas_batch(cycle(5), PIECEWISE, matrix)
+    assert alpha.shape == (7, 5) and msize.shape == (7,)
+    assert alpha.T.flags.c_contiguous
+
+
+def test_edge_covers_do_not_depend_on_the_block_size(monkeypatch):
+    import fomlab.dual as dual_mod
+
+    inst = random_instance(30, 0.3, False, 12)
+    trials = 300
+    ranks = np.random.default_rng([5, 0]).random((trials, inst.n))
+    alpha, msize = simulate_alphas_batch(inst, PIECEWISE, ranks)
+    eu, ev = inst.edge_array.T
+    # the whole (edges x trials) array, each edge's covers a contiguous row
+    cover = np.ascontiguousarray((alpha[:, eu] + alpha[:, ev]).T)
+    want = (cover.sum(axis=1), (cover * cover).sum(axis=1))
+    assert inst.m % 7
+    for block in (1, 7 * trials, inst.m * trials, dual_mod.COVER_BLOCK):
+        monkeypatch.setattr(dual_mod, "COVER_BLOCK", block)
+        sums, sumsqs, bad = dual_mod._edge_cover_chunk((inst, PIECEWISE, 5, 0, trials))
+        assert np.array_equal(sums, want[0]) and np.array_equal(sumsqs, want[1])
+        assert bad == 0
 
 
 def test_victims_come_from_one_base_run_per_chunk(monkeypatch):

@@ -556,6 +556,27 @@ def test_int16_flat_indices_match_the_scalar_engine():
         assert active[t].tolist() == [r is Role.ACTIVE for r in out.role], t
 
 
+def test_int32_positions_match_the_argmin_kernel():
+    # from n = 2**15 on, the positions and the kernel's choice are int32; a
+    # path with a few chords, deadlines in random order, keeps both kernels
+    # under a second
+    n = 2**15 + 3
+    rng = np.random.default_rng(15)
+    edges = [(v, v + 1) for v in range(n - 1)]
+    edges += [(int(u), int(u) + 7) for u in rng.choice(n - 7, 2000, replace=False)]
+    events = [A(v) for v in range(n)] + [D(int(v)) for v in rng.permutation(n)]
+    inst = build_instance(n, events, edges)
+    # ranks on a grid of 1,000 values tie often
+    matrix = np.round(rng.random((3, n)), 3)
+    inst.later
+    assert rank_positions(matrix)[0].dtype == np.int32
+    partner, active = run_ranking_batch(inst, matrix)
+    want = _argmin_kernel(inst, matrix)
+    assert partner.dtype == np.int32 and active.any()
+    assert np.array_equal(partner, want[0])
+    assert np.array_equal(active, want[1])
+
+
 def test_choice_holds_each_pair_once_on_its_deadline_side():
     rng = np.random.default_rng(12)
     for inst in _kernel_instances():

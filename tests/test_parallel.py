@@ -1,5 +1,6 @@
-"""Worker-count parsing and pool sizing.  No test here starts a pool: the
-executor is replaced by a recorder wherever run_chunked would start one."""
+"""Worker-count parsing, pool sizing and the trial budget.  No test here
+starts a pool: the executor is replaced by a recorder wherever run_chunked
+would start one."""
 
 import concurrent.futures
 import subprocess
@@ -8,8 +9,19 @@ import sys
 import pytest
 
 import fomlab._parallel as par
-from fomlab._parallel import MAX_WORKERS, pool_size, resolve_workers, run_chunked
-from fomlab.errors import ParamsInvalid
+import fomlab.dual as dual_mod
+import fomlab.hardness as hardness_mod
+from conftest import path, traced_peak_mib
+from fomlab._parallel import (
+    MAX_TRIALS,
+    MAX_WORKERS,
+    check_trials,
+    pool_size,
+    resolve_workers,
+    run_chunked,
+)
+from fomlab.charging import PIECEWISE
+from fomlab.errors import ParamsInvalid, TooLarge
 
 
 def test_resolve_workers_clamps_and_rejects(monkeypatch):
@@ -92,3 +104,33 @@ def test_importing_the_cli_loads_no_multiprocessing():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_trials_over_the_budget_raise_before_any_chunk_list(monkeypatch):
+    def no_chunk_list(*args):
+        raise AssertionError("a chunk list was built")
+
+    def no_instance(trial):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(dual_mod, "chunk_sizes", no_chunk_list)
+    monkeypatch.setattr(hardness_mod, "chunk_sizes", no_chunk_list)
+    inst, over = path(3), MAX_TRIALS + 1
+    calls = [
+        lambda: dual_mod.verify_feasibility(inst, PIECEWISE, 0.5, over, 0),
+        lambda: hardness_mod.empirical_ratio(inst, "ranking", over, 0),
+        lambda: hardness_mod.empirical_ratio(inst, "greedy", over, 0),
+        lambda: hardness_mod.empirical_ratio(no_instance, "ranking", over, 0),
+    ]
+    for call in calls:
+
+        def rejected(call=call):
+            with pytest.raises(TooLarge, match="budget"):
+                call()
+
+        # the 8,193-entry chunk list alone would peak at 128 KiB
+        assert traced_peak_mib(rejected) < 16 / 1024
+    check_trials(MAX_TRIALS)
+    for few in (0, -5):
+        with pytest.raises(ParamsInvalid):
+            check_trials(few)
