@@ -31,11 +31,13 @@ MAX_EDGES = 1 << 24
 """Edge budget of the generated hardness instances, about 34 times the
 layered k=100, h=50 instance (495,000 edges).
 
-Generating and building an instance peaks at about 52 B per edge while
-n^2 < 2^31, where the build's edge keys are int32 (tracemalloc, layered and
-adversary-tree instances of 0.5 to 2 million edges), and at 63 to 67 B per
-edge above it, with int64 keys: 0.8 to 1.1 GiB at the budget.  The
-instance keeps 16 B per edge, its edge array and CSR indices."""
+Generating and building an instance peaks at about 39 B per edge on the
+layered instances and 48 B on the adversary trees, whose B-phase triangle is
+drawn with int64 scratch, while n^2 < 2^31, where the build's edge keys are
+int32 (tracemalloc, instances of 0.27 to 2 million edges); and at 49 to 54 B
+per edge above it, with int64 keys (layered, 0.8 to 1 million edges): 0.6
+to 0.85 GiB at the budget.  The instance keeps 16 B per edge, its edge array
+and CSR indices."""
 
 MAX_LEAVES = 1 << 23
 """Leaf budget of `adversary_ratio`, whose harmonic sum takes a step per leaf."""
@@ -113,49 +115,52 @@ def gen_adversary_tree(params: AdversaryTreeParams) -> Instance:
     """
     k, h = params.k, params.h
     rng = np.random.default_rng(params.seed)
-    stream: list[int] = []  # event codes, 2v arrival and 2v + 1 deadline
-    tree_edges: list[tuple[int, int]] = []
-    color: list[int] = []
+    stream = [np.zeros(1, dtype=np.int64)]  # event codes: the root arrives
+    tree_edges = []
+    parents = []  # the u-vertices of every level, which die on their level
+    sizes = [1]  # vertices per level, the root's level first
+    frontier = np.zeros(1, dtype=np.int64)  # current level's u-vertices
+    count = 1
+    for _ in range(h):
+        f = len(frontier)
+        children = count + np.arange(f * (k + 1)).reshape(f, k + 1)
+        count += children.size
+        # per parent: its children arrive, then it dies
+        events = np.empty((f, k + 2), dtype=np.int64)
+        events[:, : k + 1] = 2 * children
+        events[:, k + 1] = 2 * frontier + 1
+        stream.append(events.ravel())
+        tree_edges.append(np.stack([frontier.repeat(k + 1), children.ravel()], axis=1))
+        parents.append(frontier)
+        sizes.append(children.size)
+        # one child per parent is demoted to a pendant; the rest, in creation
+        # order, are the next level's u's.  Shuffling the rows of the tile
+        # draws what f calls of rng.permutation(k + 1) would, in turn
+        demoted = rng.permuted(np.tile(np.arange(k + 1), (f, 1)), axis=1)[:, k]
+        promoted = np.ones((f, k + 1), dtype=bool)
+        promoted[np.arange(f), demoted] = False
+        frontier = children[promoted]
 
-    def new_vertex(c: int) -> int:
-        color.append(c)
-        return len(color) - 1
-
-    root = new_vertex(0)
-    stream.append(2 * root)
-    frontier = [root]  # current level's u-vertices, in creation order
-    for level in range(h):
-        next_frontier = []
-        for u in frontier:
-            children = [new_vertex(1 - color[u]) for _ in range(k + 1)]
-            for c in children:
-                stream.append(2 * c)
-                tree_edges.append((u, c))
-            stream.append(2 * u + 1)
-            keep = rng.permutation(k + 1)[:k]  # promoted to next-level u's
-            promoted = [children[i] for i in sorted(keep)]
-            next_frontier.extend(promoted)
-        frontier = next_frontier
-
-    a_order = np.array(frontier, dtype=np.int64)[rng.permutation(len(frontier))]
-    b_color = 1 - color[a_order[0]] if len(a_order) else 0
-    first_b = len(color)
-    color.extend([b_color] * len(a_order))
-    stream.extend(range(2 * first_b, 2 * len(color)))  # each b arrives, then leaves
+    a_order = frontier[rng.permutation(len(frontier))]
+    first_b = count
+    n = first_b + len(a_order)
+    # levels alternate sides from the root's 0, and the b's follow level h
+    color = np.repeat(np.arange(h + 2, dtype=np.int8) % 2, sizes + [len(a_order)])
+    stream.append(np.arange(2 * first_b, 2 * n))  # each b arrives, then leaves
     # b_i sees the suffix a_order[i:]
     rows, cols = np.triu_indices(len(a_order))
     edges = np.concatenate(
-        [np.array(tree_edges, dtype=np.int32).reshape(-1, 2),
-         np.stack([first_b + rows, a_order[cols]], axis=1)],
+        tree_edges + [np.stack([first_b + rows, a_order[cols]], axis=1)],
         dtype=np.int32,
     )
     del rows, cols  # int64 scratch, twice the size of the triangle's edges
 
-    codes = np.array(stream)
     # the vertices still open leave at the end, in id order
-    still_open = np.setdiff1d(np.arange(len(color)), codes[codes % 2 == 1] // 2)
-    stream = np.concatenate([codes, 2 * still_open + 1])
-    return build_instance(len(color), stream, edges, color)
+    still_open = np.ones(n, dtype=bool)
+    still_open[np.concatenate(parents)] = False
+    still_open[first_b:] = False
+    stream.append(2 * np.flatnonzero(still_open) + 1)
+    return build_instance(n, np.concatenate(stream), edges, color)
 
 
 def gen_ranking_hard(params: LayeredParams) -> Instance:

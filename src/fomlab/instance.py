@@ -206,6 +206,23 @@ def _raise_first_fault(keys, loop, late, head, pairs, n) -> None:
     raise IndexOutOfRange(f"edge ({u}, {v}) out of range [0, {n})")
 
 
+def _sides(bipartition, n: int) -> np.ndarray:
+    """The bipartition as n int8 sides, or MalformedEvents unless it is a
+    length-n sequence of numbers each equal to 0 or 1."""
+    try:
+        side = np.asarray(bipartition) if len(bipartition) == n else None
+    except ValueError:  # ragged nesting
+        side = None
+    if (
+        side is None
+        or side.shape != (n,)
+        or side.dtype.kind not in "biufO"
+        or not ((side == 0) | (side == 1)).all()
+    ):
+        raise MalformedEvents("bipartition must assign 0/1 to every vertex")
+    return side.astype(np.int8)
+
+
 def build_instance(
     n: int,
     events,
@@ -247,7 +264,8 @@ def build_instance(
         raise MalformedEvents(f"event vertex {v} out of range [0, {n})")
     pos = np.empty(2 * n, dtype=np.int32)
     pos[stream] = np.arange(2 * n, dtype=np.int32)
-    apos, dpos = pos[0::2], pos[1::2]
+    # contiguous rows, which the edge checks gather from faster
+    apos, dpos = pos.reshape(n, 2).T.copy()
     if (apos > dpos).any():
         v = int(np.argmax(apos > dpos))
         raise MalformedEvents(f"vertex {v} has its deadline before its arrival")
@@ -264,7 +282,9 @@ def build_instance(
     loop = lo == hi
     # the model-guarantee gathers run before the keys exist, so that their
     # scratch does not add to the keys' peak
-    late = np.maximum(apos[lo], apos[hi]) > np.minimum(dpos[lo], dpos[hi])
+    late = np.maximum(apos.take(lo), apos.take(hi)) > np.minimum(
+        dpos.take(lo), dpos.take(hi)
+    )
     keys = lo * n + hi
     del lo, hi
     sorted_keys = np.sort(keys)
@@ -284,32 +304,30 @@ def build_instance(
 
     bip: Optional[tuple[int, ...]] = None
     if bipartition is not None:
-        if len(bipartition) != n or any(s not in (0, 1) for s in bipartition):
-            raise MalformedEvents("bipartition must assign 0/1 to every vertex")
-        side = np.array(bipartition, dtype=np.int8)
-        same = side[first] == side[second]
+        side = _sides(bipartition, n)
+        same = side.take(first) == side.take(second)
         if same.any():
             a, b = edge_array[int(np.argmax(same))].tolist()
             raise MalformedEvents(f"edge ({a}, {b}) does not cross the bipartition")
-        bip = tuple(int(s) for s in bipartition)
+        bip = tuple(side.tolist())
 
-    # row v holds v's lower neighbours, then its higher ones, each ascending
+    # row v holds its lower neighbours, then its higher ones, each ascending:
+    # a mask over the 2m slots marks the higher ones, row after row
     above = np.bincount(first, minlength=n)
     below = np.bincount(second, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(above + below, out=indptr[1:])
+    counts = np.stack([below, above], axis=1).ravel()
+    higher = np.repeat(np.tile(np.array([False, True]), n), counts)
     indices = np.empty(2 * m, dtype=np.int32)
-    # the edge array lists the higher neighbours row by row: edge i lands
-    # after every lower neighbour of the rows up to its first endpoint
-    indices[np.cumsum(below)[first] + np.arange(m)] = second
-    # sorted by (second, first), the edges list the lower neighbours row by
-    # row: edge j lands after every higher neighbour of the rows before its
-    # second endpoint
+    # the edge array lists the higher neighbours row by row
+    indices[higher] = second
+    # sorted by (second, first), the edges list the lower neighbours row by row
     lower = second.astype(key_type) * n + first
     lower.sort()
-    row, column = np.divmod(lower, n)
-    del lower
-    indices[(np.cumsum(above) - above)[row] + np.arange(m)] = column
+    np.logical_not(higher, out=higher)
+    indices[higher] = lower % n
+    del lower, higher, counts
 
     return Instance(
         n=n,
@@ -455,9 +473,34 @@ def from_json_dict(data: dict) -> Instance:
     return build_instance(n, events, edges, bip)
 
 
+_EVENT_JSON = tuple(
+    '    {\n      "kind": "%s",\n      "v": %%d\n    }' % kind.value for kind in _KINDS
+)
+_EDGE_JSON = "    [\n      %d,\n      %d\n    ]"
+_INSTANCE_JSON = (
+    '{\n  "n": %d,\n  "events": %s,\n  "edges": %s,\n  "bipartition": %s\n}\n'
+)
+
+
+def _json_list(templates: list[str], values: list[int]) -> str:
+    """A list nested one level in `json.dump(..., indent=2)`'s layout."""
+    if not templates:
+        return "[]"
+    return "[\n" + ",\n".join(templates) % tuple(values) + "\n  ]"
+
+
 def save_instance(instance: Instance, fp: IO[str]) -> None:
-    json.dump(to_json_dict(instance), fp, indent=2)
-    fp.write("\n")
+    """Write the bytes of `json.dump(to_json_dict(instance), fp, indent=2)`
+    and a newline, filled into string templates: json's indenting encoder
+    is pure Python, one call per value."""
+    codes = instance.stream
+    events = _json_list(
+        [_EVENT_JSON[c] for c in (codes & 1).tolist()], (codes >> 1).tolist()
+    )
+    edges = _json_list([_EDGE_JSON] * instance.m, instance.edge_array.ravel().tolist())
+    bip = instance.bipartition
+    sides = "null" if bip is None else _json_list(["    %d"] * len(bip), list(bip))
+    fp.write(_INSTANCE_JSON % (instance.n, events, edges, sides))
 
 
 def load_instance(fp: IO[str]) -> Instance:

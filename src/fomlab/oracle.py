@@ -3,7 +3,10 @@
 Three redundant routes: Hopcroft-Karp for bipartite instances, Edmonds'
 cardinality blossom algorithm for general graphs, and an exponential
 branch-and-bound for tiny edge counts.  All three are hand-written; the test
-suite cross-validates them against each other and against networkx.
+suite cross-validates them against each other and against networkx.  The
+blossom search keeps its blossom bases in a union-find, so a contraction
+costs the blossom's two tree paths, not a scan of the whole tree; the tests
+keep the scanning form and check that both return the same witness.
 """
 
 from __future__ import annotations
@@ -158,35 +161,48 @@ def max_matching_general(instance: Instance) -> OracleResult:
 
     One alternating-tree search per free vertex, from a greedy start.  A
     vertex with no augmenting path has none after later augmentations
-    either, so a single pass over the vertices is exact.
+    either, so a single pass over the vertices is exact.  Blossom bases are
+    a union-find with path compression: a contraction links the bases on
+    its two paths to the new base, and touches no other vertex of the tree.
     """
     n, adj = instance.n, instance.adj
     match = _greedy_start(instance)
     # Per-search state, reset after each search on the vertices it touched:
-    # parent[w] is the tree parent of an odd vertex w, base[v] the base of
-    # the blossom holding v, outer[v] whether v is an even vertex.
+    # parent[w] is the tree parent of an odd vertex w, outer[v] whether v is
+    # an even vertex, and base[v] a union-find link towards the base of the
+    # blossom holding v (a base links to itself).  pos[v] is v's index in
+    # the search's `tree` list; it is set whenever v joins a tree.
     parent = [-1] * n
     base = list(range(n))
     outer = [False] * n
+    pos = [0] * n
+
+    def find(v: int) -> int:
+        root = base[v]
+        while base[root] != root:
+            root = base[root]
+        while base[v] != root:
+            base[v], v = root, base[v]
+        return root
 
     def lca(a: int, b: int) -> int:
         path = set()
         while True:
-            a = base[a]
+            a = find(a)
             path.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
-            b = base[b]
+            b = find(b)
             if b in path:
                 return b
             b = parent[match[b]]
 
     def mark_path(v: int, b: int, child: int, bases: set) -> None:
-        while base[v] != b:
-            bases.add(base[v])
-            bases.add(base[match[v]])
+        while (bv := find(v)) != b:
+            bases.add(bv)
+            bases.add(find(match[v]))
             parent[v] = child
             child = match[v]
             v = parent[child]
@@ -195,11 +211,17 @@ def max_matching_general(instance: Instance) -> OracleResult:
         # Grow an alternating tree from the free vertex `root`, listing every
         # vertex it touches in `tree`; augment on reaching another free one.
         outer[root] = True
+        pos[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
+            bv = find(v)
             for w in adj[v]:
-                if base[v] == base[w] or match[v] == w:
+                # find(w), without the call when w links to bv or to a base
+                bw = base[w]
+                if bw != bv and base[bw] != bw:
+                    bw = find(w)
+                if bw == bv or match[v] == w:
                     continue
                 if w == root or (match[w] != -1 and parent[match[w]] != -1):
                     # w is even too: the edge closes a blossom; contract it
@@ -207,14 +229,18 @@ def max_matching_general(instance: Instance) -> OracleResult:
                     bases: set[int] = set()
                     mark_path(v, b, w, bases)
                     mark_path(w, b, v, bases)
-                    for x in tree:
-                        if base[x] in bases:
-                            base[x] = b
-                            if not outer[x]:
-                                outer[x] = True
-                                queue.append(x)
+                    for x in bases:
+                        base[x] = b
+                    # the odd vertices on the paths are their own bases; they
+                    # turn even in the order they joined the tree
+                    odd = [x for x in bases if not outer[x]]
+                    for x in sorted(odd, key=pos.__getitem__):
+                        outer[x] = True
+                        queue.append(x)
+                    bv = b  # v is in the new blossom
                 elif parent[w] == -1:
                     parent[w] = v
+                    pos[w] = len(tree)
                     tree.append(w)
                     mate = match[w]
                     if mate == -1:
@@ -225,6 +251,7 @@ def max_matching_general(instance: Instance) -> OracleResult:
                             match[pv] = w
                             w = nxt
                         return
+                    pos[mate] = len(tree)
                     tree.append(mate)
                     outer[mate] = True
                     queue.append(mate)

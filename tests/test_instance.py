@@ -211,3 +211,93 @@ def test_json_schema_fields():
     assert data["events"][0] == {"kind": "arrival", "v": 0}
     assert data["bipartition"] == [0, 1]
     assert json.loads(json.dumps(data)) == data
+
+
+def test_saved_bytes_are_json_dump_with_a_newline():
+    from fomlab.hardness import (
+        AdversaryTreeParams,
+        LayeredParams,
+        gen_adversary_tree,
+        gen_ranking_hard,
+    )
+
+    cases = [
+        build_instance(0, [], []),
+        build_instance(0, [], [], []),
+        build_instance(3, [A(0), D(0), A(1), A(2), D(2), D(1)], []),
+        build_instance(3, [A(0), D(0), A(1), A(2), D(2), D(1)], [], [1, 0, 1]),
+        random_instance(9, 0.6, True, 4),
+        random_instance(300, 0.03, False, 5),
+        gen_adversary_tree(AdversaryTreeParams(k=3, h=2, seed=1)),
+        gen_ranking_hard(LayeredParams(k=20, h=10)),
+    ]
+    for inst in cases:
+        expected = io.StringIO()
+        json.dump(to_json_dict(inst), expected, indent=2)
+        expected.write("\n")
+        got = io.StringIO()
+        save_instance(inst, got)
+        assert got.getvalue() == expected.getvalue()
+
+
+BAD_SIDES = (MalformedEvents, "bipartition must assign 0/1 to every vertex")
+SAME_SIDE = (MalformedEvents, "edge (0, 1) does not cross the bipartition")
+
+# (bipartition, edges, the sides built or the exception class and message);
+# every row reads as the one-vertex-at-a-time check read it
+BIPARTITIONS = [
+    ([True, False], [(0, 1)], (1, 0)),
+    ([0.0, 1.0], [(0, 1)], (0, 1)),
+    ([1.0, 0.0], [], (1, 0)),
+    ([np.int64(0), np.int8(1)], [(0, 1)], (0, 1)),
+    ([np.uint8(1), np.bool_(False)], [(0, 1)], (1, 0)),
+    ((0, 1), [(0, 1)], (0, 1)),
+    ([1, 1], [], (1, 1)),
+    ([1, 1], [(0, 1)], SAME_SIDE),
+    ([0, 2], [(0, 1)], BAD_SIDES),
+    ([-1, 1], [], BAD_SIDES),
+    (["0", 1], [(0, 1)], BAD_SIDES),
+    (["0", "1"], [], BAD_SIDES),
+    ("01", [], BAD_SIDES),
+    ([None, 1], [(0, 1)], BAD_SIDES),
+    ([0.5, 1], [], BAD_SIDES),
+    ([float("nan"), 1], [], BAD_SIDES),
+    ([0, 10**30], [], BAD_SIDES),
+    ([[0], [1]], [(0, 1)], BAD_SIDES),
+    ([[0, 1], [1, 0]], [], BAD_SIDES),
+    ([[0], [1, 0]], [], BAD_SIDES),
+    ([0], [(0, 1)], BAD_SIDES),
+    ([0, 1, 0], [], BAD_SIDES),
+    ([], [], BAD_SIDES),
+    (np.array([0, 1]), [(0, 1)], (0, 1)),
+    (np.array([1, 0], dtype=np.int8), [(0, 1)], (1, 0)),
+    (np.array([True, False]), [(0, 1)], (1, 0)),
+    (np.array([0.0, 1.0]), [], (0, 1)),
+    (np.array([0, 1], dtype=object), [(0, 1)], (0, 1)),
+    (np.array([0, 2]), [(0, 1)], BAD_SIDES),
+    (np.array([0.5, 1.0]), [], BAD_SIDES),
+    (np.array(["0", "1"]), [], BAD_SIDES),
+    (np.array([1, 1]), [(0, 1)], SAME_SIDE),
+    # these raised TypeError or ValueError from inside the check before
+    (np.array([[0], [1]]), [], BAD_SIDES),
+    (np.array([[0, 1], [1, 0]]), [(0, 1)], BAD_SIDES),
+    ([1 + 0j, 0], [], BAD_SIDES),
+]
+
+
+@pytest.mark.parametrize("bipartition,edges,expected", BIPARTITIONS)
+def test_bipartition_values_and_errors(bipartition, edges, expected):
+    events = [A(0), A(1), D(0), D(1)]
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error) as got:
+            build_instance(2, events, edges, bipartition)
+        assert type(got.value) is error and str(got.value) == message
+    else:
+        sides = build_instance(2, events, edges, bipartition).bipartition
+        assert sides == expected and all(type(s) is int for s in sides)
+
+
+def test_bipartition_without_a_length_is_a_type_error():
+    with pytest.raises(TypeError):
+        build_instance(2, [A(0), A(1), D(0), D(1)], [], (s for s in (0, 1)))

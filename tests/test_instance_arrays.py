@@ -153,10 +153,20 @@ def test_ranking_hard_matches_reference(k, h):
     _assert_matches_reference(inst, reference_ranking_hard(k, h))
 
 
-@pytest.mark.parametrize(
-    "k,h,seed", [(1, 1, 0), (2, 2, 3), (2, 3, 1), (3, 2, 7), (7, 3, 5)]
-)
+TREE_CASES = [(1, 1, 0), (2, 2, 3), (2, 3, 1), (3, 2, 7), (7, 3, 5)]
+TREE_CASES += [
+    (k, h, seed)
+    for k in (1, 2, 3, 7)
+    for h in (1, 2, 3)
+    for seed in (0, 1, 2, 9, 2**31 - 2)
+    if (k, h, seed) not in TREE_CASES
+]
+
+
+@pytest.mark.parametrize("k,h,seed", TREE_CASES)
 def test_adversary_tree_matches_reference(k, h, seed):
+    # the generator draws a level's demoted children at once, the reference
+    # one rng.permutation per parent, in turn
     inst = gen_adversary_tree(AdversaryTreeParams(k=k, h=h, seed=seed))
     _assert_matches_reference(inst, reference_adversary_tree(k, h, seed))
 

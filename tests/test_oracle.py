@@ -12,6 +12,7 @@ from fomlab.hardness import (
     gen_ranking_hard,
 )
 from fomlab.instance import A, D, build_instance, random_instance
+from reference_oracle import reference_max_matching_general
 from fomlab.oracle import (
     BRUTEFORCE_EDGE_BUDGET,
     _check_witness,
@@ -202,6 +203,42 @@ def test_blossom_shapes_vs_bruteforce():
         if len(edges) <= BRUTEFORCE_EDGE_BUDGET:
             inst = _relabelled(n, edges, rng)
             assert max_matching_general(inst).size == max_matching_bruteforce(inst).size
+
+
+def test_blossom_witness_matches_whole_tree_scan_on_random_graphs():
+    # the union-find search makes every decision of the scan, so the
+    # witness, not only the size, is the same
+    rng = np.random.default_rng(21)
+    for _ in range(1000):
+        n = int(rng.integers(4, 201))
+        p = float(rng.uniform(0.5, 6.0)) / n
+        inst = random_instance(n, min(p, 1.0), False, int(rng.integers(0, 2**31)))
+        assert max_matching_general(inst) == reference_max_matching_general(inst)
+
+
+def test_blossom_witness_matches_whole_tree_scan_on_blossom_shapes():
+    rng = np.random.default_rng(22)
+    for n, edges in _blossom_shapes(rng):
+        for _ in range(20):
+            inst = _relabelled(n, edges, rng)
+            assert max_matching_general(inst) == reference_max_matching_general(inst)
+
+
+def _ratio_mc_general_instances(seed):
+    """The three n = 1000, p = 0.01 general instances of the benchmark's
+    ratio-mc workload at `seed`, drawn as perfbench/workloads.py draws them."""
+    rng = np.random.default_rng([seed, 2])
+    rng.integers(0, 2**31 - 1, size=1)  # the layered task's seed
+    rng.integers(0, 2**31 - 1, size=3)  # the adversary blocks' seeds
+    for _ in range(3):
+        inst_seed, _mc_seed = rng.integers(0, 2**31 - 1, size=2).tolist()
+        yield random_instance(1000, 0.01, False, inst_seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_blossom_witness_matches_whole_tree_scan_on_ratio_mc_instances(seed):
+    for inst in _ratio_mc_general_instances(seed):
+        assert max_matching_general(inst) == reference_max_matching_general(inst)
 
 
 def test_hopcroft_karp_vs_blossom_up_to_n200():
