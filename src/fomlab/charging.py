@@ -71,6 +71,10 @@ whole axis but keeps more columns.  Of 16-256 rows, its medians were 22.1,
 18.1, 15.0, 18.2 and 15.8 ms at step 5e-4 and 72.9, 56.7, 51.1, 51.0 and
 47.1 ms at 2e-4 (2 vCPU Xeon, interleaved in one process)."""
 
+COARSE_STEP = 1e-3
+"""Step of the theta grid, and of psi1's tau grid, on which `minimize_psi1`
+and `minimize_psi2` search before refining around the grid minimum."""
+
 
 @dataclass(frozen=True)
 class BoundGrid:
@@ -447,14 +451,14 @@ def ratio_general(
     return float(np.trapezoid(fy, ys))
 
 
-def _grid_argmin(fn, coarse_step: float) -> tuple[float, float]:
+def _grid_argmin(fn) -> tuple[float, float]:
     """(min, argmin) of fn over [0, 1]: fn evaluates a whole array of points,
-    once on the coarse grid and once on a 1e-5 grid around its argmin."""
-    xs = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
+    once on the `COARSE_STEP` grid and once on a 1e-5 grid around its argmin."""
+    xs = np.clip(np.arange(0.0, 1.0 + COARSE_STEP / 2, COARSE_STEP), 0.0, 1.0)
     vals = fn(xs)
     i = int(vals.argmin())
-    a = max(0.0, xs[i] - coarse_step)
-    b = min(1.0, xs[i] + coarse_step)
+    a = max(0.0, xs[i] - COARSE_STEP)
+    b = min(1.0, xs[i] + COARSE_STEP)
     fine = np.clip(np.arange(a, b + 5e-6, 1e-5), 0.0, 1.0)
     fine_vals = fn(fine)
     j = int(fine_vals.argmin())
@@ -463,18 +467,12 @@ def _grid_argmin(fn, coarse_step: float) -> tuple[float, float]:
     return float(vals[i]), float(xs[i])
 
 
-def minimize_psi2(
-    y_u: float, charging: ChargingFunction, coarse_step: float = 1e-3
-) -> tuple[float, float]:
+def minimize_psi2(y_u: float, charging: ChargingFunction) -> tuple[float, float]:
     """Minimum of psi2 over theta (1 treated as the 1-minus limit)."""
-    return _grid_argmin(
-        lambda th: psi2(y_u, th, charging, theta_side=Side.JUST_BELOW), coarse_step
-    )
+    return _grid_argmin(lambda th: psi2(y_u, th, charging, theta_side=Side.JUST_BELOW))
 
 
-def minimize_psi1(
-    y_u: float, charging: ChargingFunction, coarse_step: float = 1e-3
-) -> tuple[float, float]:
+def minimize_psi1(y_u: float, charging: ChargingFunction) -> tuple[float, float]:
     """Minimum of psi1 over theta with tau at its optimum; returns (value, theta).
 
     Each theta takes the minimum over the coarse tau grid cut to tau >= theta
@@ -483,7 +481,7 @@ def minimize_psi1(
     phi(tau) where tau >= theta and phi(theta) elsewhere: phi runs once on
     the tau grid and once per theta.
     """
-    taus = np.clip(np.arange(0.0, 1.0 + coarse_step / 2, coarse_step), 0.0, 1.0)
+    taus = np.clip(np.arange(0.0, 1.0 + COARSE_STEP / 2, COARSE_STEP), 0.0, 1.0)
     side = Side.JUST_BELOW
     gy = charging.g(y_u)
     m_taus = np.minimum(gy, charging.phi(taus, side))
@@ -506,4 +504,4 @@ def minimize_psi1(
 
         return _by_row_blocks(len(thetas), block)
 
-    return _grid_argmin(over_tau, coarse_step)
+    return _grid_argmin(over_tau)

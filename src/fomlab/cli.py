@@ -15,7 +15,6 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import charging as charging_mod
 from . import hardness as hardness_mod
@@ -120,6 +119,7 @@ _workers_opt = click.option("--workers", type=int, default=None)
 _seed_opt = click.option(
     "--seed", type=click.IntRange(min=0), default=0, show_default=True
 )
+_CHARGING_KINDS = [kind.value for kind in charging_mod.ChargingKind]
 
 
 @main.command()
@@ -220,14 +220,7 @@ def ratio(instance_path, family, k, h, alg, trials, seed, workers, fmt, out):
         )
         desc = {"family": family, "k": k, "h": h}
     else:
-        def source(trial: int):
-            ss = np.random.SeedSequence([seed, trial])
-            return hardness_mod.gen_adversary_tree(
-                hardness_mod.AdversaryTreeParams(
-                    k=k, h=h, seed=int(ss.generate_state(1, np.uint64)[0])
-                )
-            )
-
+        source = hardness_mod.adversary_tree_source(k, h, seed)
         desc = {"family": family, "k": k, "h": h}
     mean, stderr = hardness_mod.empirical_ratio(
         source, alg, trials, seed, workers=workers
@@ -250,7 +243,7 @@ def ratio(instance_path, family, k, h, alg, trials, seed, workers, fmt, out):
 @click.option(
     "--charging",
     "charging_name",
-    type=click.Choice(["exp", "piecewise", "capped"]),
+    type=click.Choice(_CHARGING_KINDS),
     default="exp",
     show_default=True,
 )
@@ -282,7 +275,7 @@ def verify_duals(
 @main.command("check-charging")
 @click.option(
     "--kind",
-    type=click.Choice(["exp", "piecewise", "capped"]),
+    type=click.Choice(_CHARGING_KINDS),
     default="piecewise",
     show_default=True,
 )
@@ -300,7 +293,7 @@ def check_charging(kind, grid, fmt, out):
         "properties": props.as_dict(),
     }
     if props.passed:
-        if kind == "piecewise":
+        if ch.kind is charging_mod.ChargingKind.PIECEWISE_GENERAL:
             report["ratio"] = charging_mod.ratio_general(ch, bgrid)
             report["model"] = "general"
         else:

@@ -19,7 +19,8 @@ callers see alpha as a transposed (trials x n) view.
 The batch rule is written once and evaluated two ways: on sampled ranks
 for the Monte Carlo estimates, and on every rank order of a small instance,
 one row of order positions each, with g and h replaced by their expectations
-at the order statistics, for the exact covers.
+at the order statistics, for the exact covers; both reduce alpha to edge
+sums and mass-balance residuals in one pass, `_cover_sums`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import permutations
 from typing import Optional
 
@@ -60,7 +61,7 @@ EXACT_MAX_N = 8
 """Largest n for `exact_edge_cover`, which makes one batch row per rank order."""
 
 COVER_BLOCK = 1 << 15
-"""Edge covers (edge x trial entries) `_edge_cover_chunk` sums at a time
+"""Edge covers (edge x trial entries) `_cover_sums` sums at a time
 (whole edges, at least one): 256 KiB per block array, which stays in cache
 between its sum and its sum of squares.  On a 2 vCPU Xeon, the covers of a
 40-vertex, 74-edge instance at 4096 trials took 0.5 ms a chunk in blocks
@@ -382,26 +383,36 @@ def _alphas(instance: Instance, ranks_matrix: np.ndarray, g, h):
     return alpha.T, msize
 
 
-def _edge_cover_chunk(args):
-    instance, charging, seed, chunk_id, size = args
-    rng = np.random.default_rng([seed, chunk_id])
-    ranks = rng.random((size, instance.n))
-    alpha, msize = simulate_alphas_batch(instance, charging, ranks)
-    # alpha is a view of a vertex-major array: each trial's sum adds the
-    # vertex rows in order, and each edge's covers are one contiguous row,
-    # whose sums do not depend on how the edges are blocked
+def _cover_sums(instance: Instance, alpha: np.ndarray, msize: np.ndarray):
+    """Each edge's sum and sum of squares of its covers alpha_u + alpha_v
+    over the trials, and each trial's residual |sum alpha - |M||.
+
+    alpha is `_alphas`' transposed view of a vertex-major array: each
+    trial's sum adds the vertex rows in order, and each edge's covers are
+    one contiguous row, summed `COVER_BLOCK` entries at a time, whose sums
+    do not depend on how the edges are blocked.
+    """
     alpha_vm = alpha.T
-    cond1_bad = int(np.sum(np.abs(alpha_vm.sum(axis=0) - msize) > COND1_TOL))
+    residual = np.abs(alpha_vm.sum(axis=0) - msize)
     eu, ev = instance.edge_array.T
     sums, sumsqs = np.empty(instance.m), np.empty(instance.m)
-    block = max(1, COVER_BLOCK // size)
+    block = max(1, COVER_BLOCK // alpha_vm.shape[1])
     for lo in range(0, instance.m, block):
         hi = lo + block
         cover = alpha_vm[eu[lo:hi]] + alpha_vm[ev[lo:hi]]
         sums[lo:hi] = cover.sum(axis=1)
         cover *= cover
         sumsqs[lo:hi] = cover.sum(axis=1)
-    return sums, sumsqs, cond1_bad
+    return sums, sumsqs, residual
+
+
+def _edge_cover_chunk(args):
+    instance, charging, seed, chunk_id, size = args
+    rng = np.random.default_rng([seed, chunk_id])
+    ranks = rng.random((size, instance.n))
+    alpha, msize = simulate_alphas_batch(instance, charging, ranks)
+    sums, sumsqs, residual = _cover_sums(instance, alpha, msize)
+    return sums, sumsqs, int(np.sum(residual > COND1_TOL))
 
 
 @dataclass(frozen=True)
@@ -428,16 +439,7 @@ class FeasibilityReport:
 
     def as_dict(self) -> dict:
         return {
-            "edges": [
-                {
-                    "u": e.u,
-                    "v": e.v,
-                    "mean": e.mean,
-                    "stderr": e.stderr,
-                    "trials": e.trials,
-                }
-                for e in self.edges
-            ],
+            "edges": [asdict(e) for e in self.edges],
             "summary": {
                 "min_mean": self.min_mean,
                 "F": self.target,
@@ -470,9 +472,12 @@ def _edge_statistics(
         sumsqs += sq
         cond1_bad += bad
     estimates = []
-    for i, (u, v) in enumerate(instance.edge_array.tolist()):
-        mean = sums[i] / trials
-        var = max(0.0, sumsqs[i] / trials - mean * mean)
+    # Python floats, not numpy scalars: the same IEEE arithmetic, and
+    # `FeasibilityReport.as_dict` copies them at a fraction of the cost
+    edges = instance.edge_array.tolist()
+    for (u, v), s, sq in zip(edges, sums.tolist(), sumsqs.tolist()):
+        mean = s / trials
+        var = max(0.0, sq / trials - mean * mean)
         stderr = math.sqrt(var / trials)
         estimates.append(EdgeEstimate(u=u, v=v, mean=mean, stderr=stderr, trials=trials))
     return estimates, cond1_bad
@@ -561,14 +566,13 @@ def exact_edge_covers(instance: Instance, charging: ChargingFunction) -> np.ndar
     eg = _order_statistic_table(charging, "g", n)
     eh = _order_statistic_table(charging, "h", n)
     alpha, msize = _alphas(instance, positions, eg.__getitem__, eh.__getitem__)
-    # a view of a vertex-major array: each edge averages one contiguous row,
-    # in the order a mean over that edge's column alone would
-    alpha_vm = alpha.T
-    residual = np.abs(alpha_vm.sum(axis=0) - msize).max()
-    if residual > COND1_TOL:
-        raise InvariantViolated(f"|sum alpha - |M|| = {residual:.3g} on a rank order")
-    eu, ev = instance.edge_array.T
-    return (alpha_vm[eu] + alpha_vm[ev]).mean(axis=1)
+    # each edge's sum adds one contiguous row, as a mean over that edge's
+    # covers alone would, so the quotient is that mean bit for bit
+    sums, _, residual = _cover_sums(instance, alpha, msize)
+    worst = residual.max()
+    if worst > COND1_TOL:
+        raise InvariantViolated(f"|sum alpha - |M|| = {worst:.3g} on a rank order")
+    return sums / len(positions)
 
 
 def exact_edge_cover(

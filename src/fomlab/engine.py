@@ -13,8 +13,10 @@ scalar engine in the test suite.  It works on integer rank positions
 (`rank_positions`, one sort of packed int64 keys per block of rows),
 vertex-major, so that each deadline is one gather of its later-deadline
 neighbours' positions (`Instance.later`) and one min.  The matching loop
-(`run_ranking_positions`) records each pair once, on its deadline side, with
-flat indices into the position arrays.
+records each pair once, on its deadline side, with flat indices into the
+position arrays.  `drawn_ranking_sizes` runs the same loop on uniform rows
+drawn a block at a time and returns only each row's matching size; the
+position format stays inside this module.
 """
 
 from __future__ import annotations
@@ -31,17 +33,16 @@ from .instance import Instance
 
 
 ARGSORT_ELEMENTS = 1 << 18
-"""Ranks sorted at a time by `rank_positions` and `drawn_rank_positions`
+"""Ranks sorted at a time by `rank_positions` and `drawn_ranking_sizes`
 (whole rows, at least one).
 
 It bounds the scratch of one block, not K and V, which are kept whole.  A
 block holds its int64 packed keys, then its intp scatter indices (2 MiB
-each at this size, never both), and its int16 order and positions;
-`drawn_rank_positions` adds the block's 2 MiB of drawn ranks.  On
-200 x 10,000 ranks (26-row blocks), the two peak at 3.0 and 5.0 MiB above
-the 7.6 MiB of K and V they return (tracemalloc: 10.6 MiB for
-`rank_positions`, 12.6 MiB for `drawn_rank_positions`), and the drawn form
-never holds the 15.3 MiB rank matrix."""
+each at this size, never both), and its int16 order and positions; drawn
+rows add the block's 2 MiB of drawn ranks.  On 200 x 10,000 ranks (26-row
+blocks), the positions peak at 3.0 MiB above the 7.6 MiB of K and V
+(tracemalloc: 10.6 MiB) from a given matrix, and at 5.0 MiB above them
+(12.6 MiB) from drawn rows, which never hold the 15.3 MiB rank matrix."""
 
 
 class Side(Enum):
@@ -60,10 +61,17 @@ class Role(Enum):
 class RankAssignment:
     """Ranks and sides per vertex.  `positions` and `sorted_ranks` are built
     on first use and cached; they take no part in equality, hashing or
-    repr."""
+    repr.  A NaN rank, which has no place in the order, raises
+    ParamsInvalid; +-inf is allowed."""
 
     ranks: tuple[float, ...]
     sides: tuple[Side, ...]
+
+    def __post_init__(self):
+        # the sum is NaN only if a rank is NaN or both infinities occur
+        total = sum(self.ranks)
+        if total != total and any(r != r for r in self.ranks):
+            raise ParamsInvalid("a rank must not be NaN")
 
     def key(self, v: int) -> tuple[float, int, int]:
         """Comparison key: rank, then just-below before at, then vertex id."""
@@ -216,24 +224,32 @@ def rank_positions(ranks_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (K, V), both (n x trials): K[v, t] is v's position in row t's
     rank order, ties going to the smaller vertex id, and V[p, t] is the
     vertex at position p.  Both are int16 when n < 2**15, int32 otherwise.
-    The rows are sorted `ARGSORT_ELEMENTS` ranks at a time; where the
-    ranks are drawn uniform, `drawn_rank_positions` gives the same (K, V)
-    without the matrix.  Raises ParamsInvalid unless every rank is finite.
+    The rows are sorted `ARGSORT_ELEMENTS` ranks at a time.  Raises
+    ParamsInvalid unless every rank is finite.
     """
     trials, n = ranks_matrix.shape
     return _positions(trials, n, lambda lo, hi: ranks_matrix[lo:hi])
 
 
-def drawn_rank_positions(
-    rng: np.random.Generator, trials: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`rank_positions(rng.random((trials, n)))` without the matrix.
+def drawn_ranking_sizes(
+    instance: Instance, rng: np.random.Generator, trials: int
+) -> np.ndarray:
+    """Ranking's matching size on each of `trials` uniform rank rows drawn
+    from rng: `run_ranking_batch(instance, rng.random((trials, n)))[1]
+    .sum(axis=1)` without the matrix.
 
-    The uniform ranks are drawn one block of rows at a time; numpy's
+    The ranks are drawn one sort block of rows at a time; numpy's
     generators fill an array in order, so the blocks hold the same numbers
-    as the whole matrix would.
+    as the whole matrix would.  `instance.later` is built before the
+    positions, and the positions are freed before the count's mask, so
+    that neither adds to their peak.
     """
-    return _positions(trials, n, lambda lo, hi: rng.random((hi - lo, n)))
+    n = instance.n
+    instance.later
+    K, V = _positions(trials, n, lambda lo, hi: rng.random((hi - lo, n)))
+    choice = _run_ranking_positions(instance, K, V)
+    del K, V
+    return (choice >= 0).sum(axis=0)
 
 
 def _positions(trials: int, n: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +307,7 @@ def _order(block: np.ndarray, n: int, dtype) -> np.ndarray:
     return order
 
 
-def run_ranking_positions(
+def _run_ranking_positions(
     instance: Instance, K: np.ndarray, V: np.ndarray
 ) -> np.ndarray:
     """Replay Ranking on every column of the rank positions (K, V).
@@ -352,7 +368,7 @@ def run_ranking_batch(
     K, V = rank_positions(ranks_matrix)
     if removed is not None:
         K[removed] = n
-    choice = run_ranking_positions(instance, K, V)
+    choice = _run_ranking_positions(instance, K, V)
     active = choice >= 0
     partner = choice.astype(np.int32)
     # the passive side of each pair, in one scatter: (v, t) at flat index

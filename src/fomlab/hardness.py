@@ -9,17 +9,16 @@ x = exp(-x)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from ._parallel import check_trials, chunk_sizes, run_chunked
-from .engine import drawn_rank_positions, rank_positions, run_ranking_positions
-# `run_ranking` and `run_ranking_batch` are not called here; the benchmark's
-# tracer rebinds them in this module, and tests/test_tracing_contract.py
-# checks that the names exist
-from .engine import run_ranking, run_ranking_batch  # noqa: F401
+from .engine import drawn_ranking_sizes, run_ranking_batch
+# `run_ranking` is not called here; the benchmark's tracer rebinds it in this
+# module, and tests/test_tracing_contract.py checks that the name exists
+from .engine import run_ranking  # noqa: F401
 from .errors import InvariantViolated, ParamsInvalid, TooLarge
 from .instance import Instance, build_instance
 from .oracle import max_matching_bipartite, max_matching_general
@@ -205,19 +204,11 @@ class AdversaryPrediction:
     h: int
     p_h: float
     t: float
-    t_fraction: float
     ratio_finite: float
     ratio_asymptotic: float
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "h": self.h,
-            "p_h": self.p_h,
-            "t": self.t,
-            "ratio_finite": self.ratio_finite,
-            "ratio_asymptotic": self.ratio_asymptotic,
-        }
+        return asdict(self)
 
 
 def adversary_ratio(k: int, h: int) -> AdversaryPrediction:
@@ -263,7 +254,6 @@ def adversary_ratio(k: int, h: int) -> AdversaryPrediction:
         h=h,
         p_h=p_h,
         t=t,
-        t_fraction=t / m,
         ratio_finite=ratio_finite,
         ratio_asymptotic=ratio_asymptotic,
     )
@@ -286,12 +276,6 @@ def omega_fixed_point() -> float:
 class FluidResult:
     fractions: tuple[float, ...]
     limit: float
-
-    def as_dict(self) -> dict:
-        return {
-            "fractions": list(self.fractions),
-            "limit": self.limit,
-        }
 
 
 def fluid_recurrence(k: int, h: int) -> FluidResult:
@@ -318,19 +302,23 @@ def _opt_size(instance: Instance) -> int:
 
 def _sizes_chunk(args):
     """Ranking's sizes on `rows` uniform rank rows from default_rng(key), or
-    with key None, its size on the arrival positions (Greedy) `rows` times.
-    The uniform ranks are drawn a block at a time, never as one matrix."""
+    with key None, its size on the arrival positions (Greedy) `rows` times."""
     instance, key, rows = args
-    # built before K and V, so that its scratch does not add to their peak
-    instance.later
-    if key is None:
-        K, V = rank_positions(np.asarray(instance.arrival_pos, dtype=float)[None])
-    else:
-        K, V = drawn_rank_positions(np.random.default_rng(key), rows, instance.n)
-    choice = run_ranking_positions(instance, K, V)
-    # freed before the count's mask is built, not after
-    del K, V
-    return np.resize((choice >= 0).sum(axis=0), rows)
+    if key is not None:
+        return drawn_ranking_sizes(instance, np.random.default_rng(key), rows)
+    arrival = np.asarray(instance.arrival_pos, dtype=float)[None]
+    return np.resize(run_ranking_batch(instance, arrival)[1].sum(axis=1), rows)
+
+
+def adversary_tree_source(k: int, h: int, seed: int) -> Callable[[int], Instance]:
+    """`empirical_ratio`'s source of fresh adversary trees: trial t's tree
+    is seeded from SeedSequence([seed, t])."""
+
+    def source(trial: int) -> Instance:
+        state = np.random.SeedSequence([seed, trial]).generate_state(1, np.uint64)
+        return gen_adversary_tree(AdversaryTreeParams(k=k, h=h, seed=int(state[0])))
+
+    return source
 
 
 def empirical_ratio(
@@ -344,14 +332,14 @@ def empirical_ratio(
 
     `source` is either a fixed Instance (ranks vary per trial) or a callable
     mapping a trial index to a fresh Instance (e.g. the random adversary
-    tree).  Each distinct instance gets its OPT once and one run of the
-    batch matching loop (`run_ranking_positions`) per block of rows, whose
-    uniform ranks are drawn one sort block at a time
-    (`drawn_rank_positions`), so no rank matrix is ever held whole.  A fixed
+    tree).  Each distinct instance gets its OPT once and one call of
+    `drawn_ranking_sizes` per block of rows, whose uniform ranks are drawn
+    one sort block at a time, so no rank matrix is ever held whole.  A fixed
     instance's blocks are keyed [seed, block id] and spread over `workers`;
     trial t of a callable source is one row keyed [seed, t, 1], run here
-    (numpy drops a trailing 0, so a tag 0 would repeat the CLI's tree key
-    [seed, t]).  Greedy runs one row per instance.
+    (numpy drops a trailing 0, so a tag 0 would repeat the key [seed, t]
+    that `adversary_tree_source` seeds tree t from).  Greedy runs one row
+    per instance.
     """
     check_trials(trials)
     if algorithm not in ("ranking", "greedy"):

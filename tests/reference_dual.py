@@ -4,7 +4,10 @@
 n) arrays: it rebuilds `formed` and the base choices with whole-matrix
 steps, gathers columns of trial-major arrays and adds the compensations
 into a C-contiguous (trials x n) `alpha`.  `reference_exact_edge_covers`
-averages it over every rank order, as `exact_edge_covers` does.
+averages it over every rank order, as `exact_edge_covers` does, and
+`whole_matrix_exact_edge_covers` averages `_alphas` itself as one
+(edges x n!) cover matrix, as `exact_edge_covers` did before it summed the
+covers an edge block at a time.
 `fomlab.dual._alphas`, which keeps the kernel's vertex-major (n x trials)
 layout, and the exact covers must equal them with `np.array_equal`: every
 entry gets the same shares and compensations, added in the same order.
@@ -17,7 +20,7 @@ from itertools import permutations
 import numpy as np
 
 from fomlab.charging import ChargingFunction
-from fomlab.dual import _order_statistic_table
+from fomlab.dual import _alphas, _order_statistic_table
 from fomlab.engine import run_ranking_batch
 from fomlab.errors import InvariantViolated
 from fomlab.instance import Instance
@@ -183,5 +186,19 @@ def reference_exact_edge_covers(
     eh = _order_statistic_table(charging, "h", instance.n)
     alpha, _ = reference_alphas(instance, positions, eg.__getitem__, eh.__getitem__)
     alpha_vm = np.ascontiguousarray(alpha.T)
+    eu, ev = instance.edge_array.T
+    return (alpha_vm[eu] + alpha_vm[ev]).mean(axis=1)
+
+
+def whole_matrix_exact_edge_covers(
+    instance: Instance, charging: ChargingFunction
+) -> np.ndarray:
+    """`exact_edge_covers` as the mean of the whole (edges x n!) cover
+    matrix of `_alphas` over every rank order."""
+    positions = np.array(list(permutations(range(instance.n))), dtype=np.intp)
+    eg = _order_statistic_table(charging, "g", instance.n)
+    eh = _order_statistic_table(charging, "h", instance.n)
+    alpha, _ = _alphas(instance, positions, eg.__getitem__, eh.__getitem__)
+    alpha_vm = alpha.T
     eu, ev = instance.edge_array.T
     return (alpha_vm[eu] + alpha_vm[ev]).mean(axis=1)

@@ -458,16 +458,17 @@ def test_blocked_minimize_psi1_matches_whole_matrix(y_u, monkeypatch):
     seen = []
     grid_argmin = charging_mod._grid_argmin
 
-    def spy(fn, coarse_step):
+    def spy(fn):
         seen.append(fn)
-        return grid_argmin(fn, coarse_step)
+        return grid_argmin(fn)
 
     monkeypatch.setattr(charging_mod, "_grid_argmin", spy)
+    assert charging_mod.COARSE_STEP == 1e-3  # the step reference_over_tau takes
     rng = np.random.default_rng(5)
     for ch in ALL_KINDS:
         seen.clear()
         got = minimize_psi1(y_u, ch)
-        want = grid_argmin(lambda th: reference_over_tau(y_u, th, ch), 1e-3)
+        want = grid_argmin(lambda th: reference_over_tau(y_u, th, ch))
         assert repr(got) == repr(want)
         (over_tau,) = seen
         full = np.clip(np.arange(0.0, 1.0 + 5e-4, 1e-3), 0.0, 1.0)

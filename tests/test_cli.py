@@ -505,6 +505,27 @@ def test_adversary_tree_seeds_build_different_trees():
     assert (first[0].events, first[0].edges) != (first[1].events, first[1].edges)
 
 
+def test_check_charging_model_follows_the_kind():
+    # the general bound for the piecewise kind only, the bipartite bound for
+    # the others; both commands offer every kind, in the enum's order
+    from fomlab import charging
+
+    grid = charging.BoundGrid(1e-2)
+    for kind in charging.ChargingKind:
+        code, out, err = _in_process(
+            ["check-charging", "--kind", kind.value, "--grid", "1e-2"]
+        )
+        assert code == 0, err
+        data = json.loads(out)
+        general = kind is charging.ChargingKind.PIECEWISE_GENERAL
+        bound = charging.ratio_general if general else charging.ratio_bipartite
+        assert data["model"] == ("general" if general else "bipartite")
+        assert data["ratio"] == float(f"{bound(charging.by_name(kind.value), grid):.12g}")
+    for command, option in (("verify-duals", "--charging"), ("check-charging", "--kind")):
+        code, out, _ = _in_process([command, "--help"])
+        assert code == 0 and f"{option} [exp|piecewise|capped]" in out
+
+
 def test_hardness_omega():
     res = run_cli("hardness", "omega")
     assert res.returncode == 0

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    complete,
     cycle,
     path,
     reference_cases,
     single_edge,
     small_instance_collection,
+    traced_peak_mib,
     triangle,
 )
 from fomlab.charging import (
@@ -54,7 +56,11 @@ from fomlab.errors import (
     TooLarge,
 )
 from fomlab.instance import A, D, build_instance, random_instance
-from reference_dual import reference_alphas, reference_exact_edge_covers
+from reference_dual import (
+    reference_alphas,
+    reference_exact_edge_covers,
+    whole_matrix_exact_edge_covers,
+)
 from reference_engine import reference_assign_duals, reference_marginal_rank
 
 
@@ -632,6 +638,26 @@ def test_exact_edge_covers_match_trial_major_reference(small_instances):
                 exact_edge_covers(inst, charging),
                 reference_exact_edge_covers(inst, charging),
             ), (inst, charging)
+
+
+def test_exact_edge_covers_equal_the_whole_matrix_mean():
+    # the blocked edge sums over n! make each edge's mean bit for bit
+    rng = np.random.default_rng(26)
+    for i in range(204):
+        n, bipartite = 3 + i % 6, bool(i // 6 % 2)
+        inst = random_instance(n, rng.uniform(0.2, 0.9), bipartite, 600 + i)
+        charging = (EXPONENTIAL, PIECEWISE, CAPPED)[i // 12 % 3]
+        want = whole_matrix_exact_edge_covers(inst, charging)
+        assert np.array_equal(exact_edge_covers(inst, charging), want), (i, inst)
+
+
+def test_exact_edge_covers_memory_on_k8():
+    # 15.0 MiB in edge blocks; the whole (28 x 8!) cover matrix and its two
+    # gathers peaked at 22.7 MiB
+    inst = complete(8)
+    _order_statistic_table(PIECEWISE, "g", 8)
+    _order_statistic_table(PIECEWISE, "h", 8)
+    assert traced_peak_mib(lambda: exact_edge_covers(inst, PIECEWISE)) < 20
 
 
 def test_batch_alphas_are_a_view_of_a_vertex_major_array():

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -15,15 +16,15 @@ from conftest import (
 )
 from fomlab import engine
 from fomlab.engine import (
+    RankAssignment,
     Role,
     Side,
-    drawn_rank_positions,
+    drawn_ranking_sizes,
     rank_positions,
     ranks_from_values,
     run_greedy,
     run_ranking,
     run_ranking_batch,
-    run_ranking_positions,
     sample_ranks,
 )
 from fomlab.errors import IndexOutOfRange, ParamsInvalid, RankMissing
@@ -438,20 +439,70 @@ def test_drawn_positions_equal_positions_of_the_drawn_matrix():
     # a generator fills an array in order, so rows drawn one argsort block at
     # a time are the rows of the whole matrix; 23 trials are no multiple of 7
     trials = 23
+    real = engine._positions
     for n in (1, 13, 40):
+        inst = random_instance(n, 0.3, False, n)
         for block_rows in (1, 7, trials):
+            seen = []
+
+            def recording(*args):
+                K, V = real(*args)
+                seen.append((K.copy(), V.copy()))  # the loop overwrites K
+                return K, V
+
+            rng = np.random.default_rng([n, 5])
+            matrix = rng.random((trials, n))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(engine, "ARGSORT_ELEMENTS", block_rows * n)
-                rng = np.random.default_rng([n, 5])
-                matrix = rng.random((trials, n))
                 want = rank_positions(matrix)
+                mp.setattr(engine, "_positions", recording)
                 drawing = np.random.default_rng([n, 5])
-                got = drawn_rank_positions(drawing, trials, n)
+                sizes = drawn_ranking_sizes(inst, drawing, trials)
+            (got,) = seen
             for a, b, c in zip(got, want, _stable_positions(matrix)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (n, block_rows)
                 assert np.array_equal(a, c), (n, block_rows)
+            assert np.array_equal(sizes, run_ranking_batch(inst, matrix)[1].sum(axis=1))
             # and it took exactly the matrix's numbers from the stream
             assert drawing.random() == rng.random()
+
+
+def test_drawn_sizes_equal_the_batch_counts_from_a_copied_generator():
+    # the same numbers through both paths: the drawn rows from a copy of the
+    # generator, the matrix from the original.  n = 2**15 + 3 gives int32
+    # positions, and sort blocks smaller than the row count split each draw
+    rng = np.random.default_rng(16)
+    for inst, trials in ((random_instance(60, 0.1, False, 16), 12), (_long_path(np.random.default_rng(15)), 3)):
+        for block_rows in (1, 5, trials):
+            drawing = np.random.Generator(type(rng.bit_generator)())
+            drawing.bit_generator.state = rng.bit_generator.state
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "ARGSORT_ELEMENTS", block_rows * inst.n)
+                got = drawn_ranking_sizes(inst, drawing, trials)
+            _, active = run_ranking_batch(inst, rng.random((trials, inst.n)))
+            want = active.sum(axis=1)
+            assert got.dtype == want.dtype and np.array_equal(got, want), inst.n
+            assert drawing.random() == rng.random()
+
+
+@pytest.mark.parametrize("v", range(4))
+def test_nan_ranks_are_rejected(v):
+    # a NaN key compares as neither below nor above any other: on this star,
+    # whose center decides first, (0.9, nan, 0.3, 0.6) made the center take
+    # vertex 1 rather than vertex 2 at rank 0.3
+    values = [0.9, 0.2, 0.3, 0.6]
+    bad = values[:v] + [math.nan] + values[v + 1 :]
+    ranks = ranks_from_values(values)
+    with pytest.raises(ParamsInvalid):
+        ranks_from_values(bad)
+    for side in Side:
+        with pytest.raises(ParamsInvalid):
+            ranks.with_rank(v, math.nan, side)
+    with pytest.raises(ParamsInvalid):
+        RankAssignment(tuple(bad), (Side.AT,) * 4)
+    # +-inf keeps its place in the scalar order, both at once included
+    inf = ranks_from_values([math.inf, -math.inf, 0.3, 0.6])
+    assert run_ranking(star(3), inf).partner[0] == 1
 
 
 def test_rank_assignment_caches_positions_outside_equality():
@@ -556,16 +607,23 @@ def test_int16_flat_indices_match_the_scalar_engine():
         assert active[t].tolist() == [r is Role.ACTIVE for r in out.role], t
 
 
+def _long_path(rng):
+    """A path of 2**15 + 3 vertices with 2,000 chords drawn from rng,
+    deadlines in random order: its positions are int32."""
+    n = 2**15 + 3
+    edges = [(v, v + 1) for v in range(n - 1)]
+    edges += [(int(u), int(u) + 7) for u in rng.choice(n - 7, 2000, replace=False)]
+    events = [A(v) for v in range(n)] + [D(int(v)) for v in rng.permutation(n)]
+    return build_instance(n, events, edges)
+
+
 def test_int32_positions_match_the_argmin_kernel():
     # from n = 2**15 on, the positions and the kernel's choice are int32; a
     # path with a few chords, deadlines in random order, keeps both kernels
     # under a second
-    n = 2**15 + 3
     rng = np.random.default_rng(15)
-    edges = [(v, v + 1) for v in range(n - 1)]
-    edges += [(int(u), int(u) + 7) for u in rng.choice(n - 7, 2000, replace=False)]
-    events = [A(v) for v in range(n)] + [D(int(v)) for v in rng.permutation(n)]
-    inst = build_instance(n, events, edges)
+    inst = _long_path(rng)
+    n = inst.n
     # ranks on a grid of 1,000 values tie often
     matrix = np.round(rng.random((3, n)), 3)
     inst.later
@@ -583,7 +641,7 @@ def test_choice_holds_each_pair_once_on_its_deadline_side():
         matrix = _with_ties(rng.random((40, inst.n)))
         inst.later
         K, V = rank_positions(matrix)
-        choice = run_ranking_positions(inst, K, V)
+        choice = engine._run_ranking_positions(inst, K, V)
         partner, active = run_ranking_batch(inst, matrix)
         assert choice.dtype == V.dtype and choice.shape == (inst.n, 40)
         assert np.array_equal((choice >= 0).sum(axis=0), active.sum(axis=1))

@@ -15,6 +15,7 @@ from fomlab.hardness import (
     LayeredParams,
     adversary_p_sequence,
     adversary_ratio,
+    adversary_tree_source,
     empirical_ratio,
     fluid_recurrence,
     gen_adversary_tree,
@@ -259,25 +260,25 @@ def _tree_source(trial):
 
 
 def _recorded_rows(monkeypatch, source, trials, seed):
-    """The rank rows `empirical_ratio` draws, one matrix per call of its
-    block source, read from a copy of the generator it hands that source."""
+    """The rank rows `empirical_ratio` draws, one matrix per call of
+    `drawn_ranking_sizes`, read from a copy of the generator it is handed."""
     seen = []
-    real = hardness.drawn_rank_positions
+    real = hardness.drawn_ranking_sizes
 
-    def recording(rng, rows, n):
+    def recording(instance, rng, rows):
         copy = np.random.Generator(type(rng.bit_generator)())
         copy.bit_generator.state = rng.bit_generator.state
-        seen.append(copy.random((rows, n)))
-        return real(rng, rows, n)
+        seen.append(copy.random((rows, instance.n)))
+        return real(instance, rng, rows)
 
-    monkeypatch.setattr(hardness, "drawn_rank_positions", recording)
+    monkeypatch.setattr(hardness, "drawn_ranking_sizes", recording)
     empirical_ratio(source, "ranking", trials, seed)
     return seen
 
 
 def test_per_trial_rank_rows_are_not_the_tree_streams(monkeypatch):
-    # the CLI seeds tree t from SeedSequence([seed, t]); trial t's ranks must
-    # come from a different stream
+    # `adversary_tree_source` seeds tree t from SeedSequence([seed, t]);
+    # trial t's ranks must come from a different stream
     seed = 5
     seen = _recorded_rows(monkeypatch, _tree_source, 4, seed)
     assert [rows.shape[0] for rows in seen] == [1] * 4
@@ -287,6 +288,16 @@ def test_per_trial_rank_rows_are_not_the_tree_streams(monkeypatch):
         tree_seed = int(ss.generate_state(1, np.uint64)[0])
         for other in ([seed, t], tree_seed):
             assert not np.array_equal(rows[0], np.random.default_rng(other).random(n))
+
+
+def test_adversary_tree_source_seeds_tree_t_from_seed_and_t():
+    for k, h, seed in ((2, 3, 5), (3, 2, 0)):
+        source = adversary_tree_source(k, h, seed)
+        for t in range(4):
+            ss = np.random.SeedSequence([seed, t])
+            tree_seed = int(ss.generate_state(1, np.uint64)[0])
+            want = gen_adversary_tree(AdversaryTreeParams(k, h, tree_seed))
+            assert source(t) == want, (k, h, seed, t)
 
 
 def test_per_trial_rank_tag_is_not_zero(monkeypatch):
