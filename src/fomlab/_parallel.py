@@ -1,7 +1,7 @@
 """Deterministic chunked execution, optionally across processes.
 
-Work is split into fixed-size chunks keyed by chunk id; each chunk derives
-its own RNG substream, so results are bitwise identical for any worker
+Work is split into chunks (`chunk_sizes`) keyed by chunk id; each chunk
+derives its own RNG substream, so results are bitwise identical for any worker
 count.  Reduction happens in chunk-id order.
 """
 
@@ -12,6 +12,9 @@ import os
 from .errors import ParamsInvalid, TooLarge
 
 CHUNK_SIZE = 4096
+# largest rows x vertices of one chunk: a `verify_feasibility` chunk holds
+# about 46 B per entry (tracemalloc at n = 1000 and 2000)
+CHUNK_RANKS = 4_000_000
 MAX_WORKERS = 1024
 """Largest worker count accepted from --workers or FOMLAB_THREADS; the CPU
 count is capped to it."""
@@ -48,9 +51,9 @@ MAX_TRIALS = 1 << 25
 `empirical_ratio` keeps every trial's ratio until its mean: it peaks at
 32 B per trial for Ranking and 40 B for Greedy on a fixed instance
 (tracemalloc, a 4-vertex path at 2^20 and 2^22 trials), 1.0 to 1.25 GiB at
-the budget.  `verify_feasibility` keeps no per-trial array, but its 8,192
-chunks at the budget each hold their arguments and two floats per edge
-until the reduction."""
+the budget.  `verify_feasibility` keeps no per-trial array, but its chunks,
+8,192 or more at the budget, each hold their arguments and two floats per
+edge until the reduction; `CHUNK_RANKS` bounds the memory of each."""
 
 
 def check_trials(trials: int) -> None:
@@ -62,7 +65,10 @@ def check_trials(trials: int) -> None:
         raise TooLarge(f"{trials} trials are above the budget of {MAX_TRIALS}")
 
 
-def chunk_sizes(total: int, chunk_size: int = CHUNK_SIZE) -> list[int]:
+def chunk_sizes(total: int, n: int) -> list[int]:
+    """Rows per chunk for `total` rows of `n` ranks each: CHUNK_SIZE rows,
+    fewer when that would exceed CHUNK_RANKS entries (n > 976), at least 1."""
+    chunk_size = max(1, min(CHUNK_SIZE, CHUNK_RANKS // max(1, n)))
     full, rest = divmod(total, chunk_size)
     return [chunk_size] * full + ([rest] if rest else [])
 

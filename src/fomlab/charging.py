@@ -49,6 +49,8 @@ B2_CONSTANTS = PiecewiseConstants(
 )
 
 CAP_OFFSET = 0.0128
+CAP_POINT = 1.0 + math.log1p(-CAP_OFFSET)
+"""Where the capped g = min(1, e^(x-1) + CAP_OFFSET) reaches its cap."""
 
 MAX_GRID_POINTS = 5001
 """Largest grid axis, a step of 2e-4.  The general bound's qsuf loop takes
@@ -150,6 +152,13 @@ class ChargingFunction:
         if self.kind is ChargingKind.PIECEWISE_GENERAL and self.constants is None:
             object.__setattr__(self, "constants", B2_CONSTANTS)
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Where g or h changes formula: the piecewise pair's t, the cap point."""
+        if self.kind is ChargingKind.PIECEWISE_GENERAL:
+            return (self.constants.t,)
+        return (CAP_POINT,) if self.kind is ChargingKind.CAPPED_EXPONENTIAL else ()
+
     # -- evaluation at a float or an array of points ---------------------------
     # side decides the value at x == 1 only: AT gives the jump value there,
     # JUST_BELOW the 1-minus limit.
@@ -187,9 +196,10 @@ class ChargingFunction:
             return _value(_two_piece_integral(theta, c.t, c.kg1, c.kg2, c.b))
         v = np.exp(theta - 1.0) - E_INV
         if self.kind is ChargingKind.CAPPED_EXPONENTIAL:
-            xcap = 1.0 + math.log1p(-CAP_OFFSET)
-            at_cap = math.exp(xcap - 1.0) - E_INV + CAP_OFFSET * xcap
-            v = np.where(theta <= xcap, v + CAP_OFFSET * theta, at_cap + (theta - xcap))
+            at_cap = math.exp(CAP_POINT - 1.0) - E_INV + CAP_OFFSET * CAP_POINT
+            v = np.where(
+                theta <= CAP_POINT, v + CAP_OFFSET * theta, at_cap + (theta - CAP_POINT)
+            )
         return _value(v)
 
     def h_integral(self, theta):
@@ -249,9 +259,9 @@ def check_properties(
     Piecewise kinds additionally get exact slope checks.  The report is a
     pure function of two frozen values, so it is computed once for each.
     """
-    xs = grid.axis()
-    if charging.constants is not None:
-        xs = np.unique(np.concatenate([xs, [charging.constants.t]]))
+    # sorted, not np.unique: a point listed twice passes every check below,
+    # and np.unique would load numpy.ma (about 1.2 MB) into each process
+    xs = np.sort(np.concatenate([grid.axis(), charging.breakpoints]))
     tol = 1e-12
     gv = charging.g_limit_grid(xs)
     hv = charging.h_limit_grid(xs)
@@ -301,6 +311,8 @@ def ratio_bipartite(
     charging: ChargingFunction, grid: BoundGrid = BoundGrid()
 ) -> float:
     """Competitive-ratio lower bound: integral of the bipartite f over ranks."""
+    if not check_properties(charging).passed:
+        raise ChargingInvalid("charging function fails its required properties")
     ys = grid.axis()
     fy = _f_bipartite_matrix(ys, charging, grid)
     return float(np.trapezoid(fy, ys))

@@ -263,11 +263,7 @@ def verify_duals(
     inst = _load(instance_path)
     ch = charging_mod.by_name(charging_name)
     report = verify_feasibility(inst, ch, target, trials, seed, workers=workers)
-    data = report.as_dict()
-    if fmt == "csv":
-        _emit({"edges": data["edges"]}, fmt, out)
-    else:
-        _emit(data, fmt, out)
+    _emit(report.as_dict(), fmt, out)
     if not report.passed:
         sys.exit(EXIT_VERIFICATION_FAILED)
 

@@ -450,39 +450,6 @@ class FeasibilityReport:
         }
 
 
-def _edge_statistics(
-    instance: Instance,
-    charging: ChargingFunction,
-    trials: int,
-    seed: int,
-    workers=None,
-) -> tuple[list[EdgeEstimate], int]:
-    check_trials(trials)
-    sizes = chunk_sizes(trials)
-    args = [
-        (instance, charging, seed, cid, size) for cid, size in enumerate(sizes)
-    ]
-    results = run_chunked(_edge_cover_chunk, args, workers=workers)
-    m = instance.m
-    sums = np.zeros(m)
-    sumsqs = np.zeros(m)
-    cond1_bad = 0
-    for s, sq, bad in results:  # fixed order: chunk id
-        sums += s
-        sumsqs += sq
-        cond1_bad += bad
-    estimates = []
-    # Python floats, not numpy scalars: the same IEEE arithmetic, and
-    # `FeasibilityReport.as_dict` copies them at a fraction of the cost
-    edges = instance.edge_array.tolist()
-    for (u, v), s, sq in zip(edges, sums.tolist(), sumsqs.tolist()):
-        mean = s / trials
-        var = max(0.0, sq / trials - mean * mean)
-        stderr = math.sqrt(var / trials)
-        estimates.append(EdgeEstimate(u=u, v=v, mean=mean, stderr=stderr, trials=trials))
-    return estimates, cond1_bad
-
-
 def verify_feasibility(
     instance: Instance,
     charging: ChargingFunction,
@@ -495,19 +462,34 @@ def verify_feasibility(
     the per-edge expected cover against the target ratio (3-sigma band)."""
     if not math.isfinite(target):
         raise ParamsInvalid(f"target must be a finite number, got {target}")
-    estimates, cond1_bad = _edge_statistics(
-        instance, charging, trials, seed, workers
-    )
-    failing = tuple(
-        (e.u, e.v) for e in estimates if e.mean + 3.0 * e.stderr < target
-    )
-    min_mean = min((e.mean for e in estimates), default=None)
+    check_trials(trials)
+    if not check_properties(charging).passed:
+        raise ChargingInvalid("charging function fails its required properties")
+    sizes = chunk_sizes(trials, instance.n)
+    args = [(instance, charging, seed, cid, size) for cid, size in enumerate(sizes)]
+    sums = np.zeros(instance.m)
+    sumsqs = np.zeros(instance.m)
+    cond1_bad = 0
+    # in chunk-id order, whatever the worker count
+    for s, sq, bad in run_chunked(_edge_cover_chunk, args, workers=workers):
+        sums += s
+        sumsqs += sq
+        cond1_bad += bad
+    estimates = []
+    # Python floats, not numpy scalars: the same IEEE arithmetic, and
+    # `FeasibilityReport.as_dict` copies them at a fraction of the cost
+    edges = instance.edge_array.tolist()
+    for (u, v), s, sq in zip(edges, sums.tolist(), sumsqs.tolist()):
+        mean = s / trials
+        var = max(0.0, sq / trials - mean * mean)
+        stderr = math.sqrt(var / trials)
+        estimates.append(EdgeEstimate(u=u, v=v, mean=mean, stderr=stderr, trials=trials))
     return FeasibilityReport(
         edges=tuple(estimates),
         target=target,
         trials=trials,
-        min_mean=min_mean,
-        failing=failing,
+        min_mean=min((e.mean for e in estimates), default=None),
+        failing=tuple((e.u, e.v) for e in estimates if e.mean + 3.0 * e.stderr < target),
         cond1_violations=cond1_bad,
     )
 
@@ -525,7 +507,8 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _order_statistic_table(charging: ChargingFunction, which: str, n: int) -> np.ndarray:
     """E[fn(U_(r:n))] for r = 1..n, fn being charging's g or h (`which`), by
-    Gauss-Legendre on each smooth piece.
+    Gauss-Legendre on each piece between the charging's `breakpoints`, where
+    g and h are smooth.
 
     A pure function of frozen values, so it is computed once for each and
     returned read-only; `exact_edge_covers` keeps n <= EXACT_MAX_N.
@@ -535,9 +518,7 @@ def _order_statistic_table(charging: ChargingFunction, which: str, n: int) -> np
     r = np.arange(1, n + 1)
     # n! / ((r-1)! (n-r)!), the density of U_(r:n) over x^(r-1) (1-x)^(n-r)
     coef = np.array([n * math.comb(n - 1, k) for k in range(n)], dtype=float)
-    breakpoints = [0.0, 1.0]
-    if charging.constants is not None:
-        breakpoints.insert(1, charging.constants.t)
+    breakpoints = [0.0, *charging.breakpoints, 1.0]
     total = np.zeros(n)
     for a, b in zip(breakpoints, breakpoints[1:]):
         xs = (0.5 * (b - a) * nodes + 0.5 * (a + b))[:, None]
@@ -561,6 +542,8 @@ def exact_edge_covers(instance: Instance, charging: ChargingFunction) -> np.ndar
     n = instance.n
     if n > EXACT_MAX_N:
         raise TooLarge(f"exact edge cover is limited to n <= {EXACT_MAX_N}")
+    if not check_properties(charging).passed:
+        raise ChargingInvalid("charging function fails its required properties")
     # every permutation is a row: row[v] is v's position in that rank order
     positions = np.array(list(permutations(range(n))), dtype=np.intp)
     eg = _order_statistic_table(charging, "g", n)

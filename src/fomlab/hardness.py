@@ -353,7 +353,7 @@ def empirical_ratio(
         if algorithm == "greedy":
             args = [(inst, None, trials if fixed else 1)]
         elif fixed:
-            blocks = chunk_sizes(trials, max(1, min(4096, 4_000_000 // max(1, inst.n))))
+            blocks = chunk_sizes(trials, inst.n)
             args = [(inst, [seed, cid], size) for cid, size in enumerate(blocks)]
         else:
             args = [(inst, [seed, trial, 1], 1)]

@@ -19,11 +19,14 @@ from conftest import (
 )
 from fomlab.charging import (
     B2_CONSTANTS,
+    CAP_OFFSET,
     CAPPED,
     EXPONENTIAL,
     PIECEWISE,
     ChargingFunction,
     ChargingKind,
+    ratio_bipartite,
+    ratio_general,
 )
 from fomlab.dual import (
     EXACT_MAX_N,
@@ -367,17 +370,35 @@ def test_assign_duals_triangle_piecewise():
     assert sum(d.alpha) == pytest.approx(1.0)
 
 
-def test_assign_duals_checks_each_charging_once_cached():
+def test_assign_duals_checks_each_charging_once_cached(monkeypatch):
     # check_properties is cached per (charging, grid); a charging that fails
-    # it still fails assign_duals after a valid one has been cached
+    # it still fails every entry point that takes a charging, after a valid
+    # one has been cached, and before any chunk list is built
+    import fomlab.dual as dual_mod
+
     ranks = ranks_from_values([0.5, 0.2, 0.8])
     assign_duals(triangle(), ranks, PIECEWISE)
     bad = ChargingFunction(
         ChargingKind.PIECEWISE_GENERAL, dataclasses.replace(B2_CONSTANTS, kh1=1.2)
     )
-    for _ in range(2):
-        with pytest.raises(ChargingInvalid):
-            assign_duals(triangle(), ranks, bad)
+    assert float(bad.phi(1.0, Side.JUST_BELOW)) < 0
+    inst = random_instance(6, 0.7, False, 1)
+
+    def no_chunk_list(*args):
+        raise AssertionError("a chunk list was built")
+
+    monkeypatch.setattr(dual_mod, "chunk_sizes", no_chunk_list)
+    calls = [
+        lambda: assign_duals(triangle(), ranks, bad),
+        lambda: verify_feasibility(inst, bad, 0.5, 4096, 1),
+        lambda: exact_edge_covers(inst, bad),
+        lambda: ratio_bipartite(bad),
+        lambda: ratio_general(bad),
+    ]
+    for call in calls:
+        for _ in range(2):
+            with pytest.raises(ChargingInvalid):
+                call()
     assert sum(assign_duals(triangle(), ranks, PIECEWISE).alpha) == pytest.approx(1.0)
 
 
@@ -777,16 +798,24 @@ def test_exact_edge_cover_matches_monte_carlo_up_to_n8():
         _assert_exact_within_4_sigma(inst, EXPONENTIAL if bipartite else PIECEWISE, 17)
 
 
+def _smooth_pieces(charging):
+    """[0, 1] split where g or h changes formula: at t for the piecewise
+    pair, and where e^(x-1) + CAP_OFFSET reaches 1 for the capped g."""
+    points = [0.0, 1.0]
+    if charging.kind is ChargingKind.PIECEWISE_GENERAL:
+        points.insert(1, charging.constants.t)
+    elif charging.kind is ChargingKind.CAPPED_EXPONENTIAL:
+        points.insert(1, 1.0 + math.log(1.0 - CAP_OFFSET))
+    return list(zip(points, points[1:]))
+
+
 def _order_statistic_expectation(charging, which, r, n):
     """E[f(U_(r:n))] by Gauss-Legendre on each smooth piece of f."""
     fn = charging.g if which == "g" else charging.h
     coef = math.factorial(n) / (math.factorial(r - 1) * math.factorial(n - r))
-    breakpoints = [0.0, 1.0]
-    if charging.constants is not None:
-        breakpoints.insert(1, charging.constants.t)
     nodes, weights = np.polynomial.legendre.leggauss(32)
     total = 0.0
-    for a, b in zip(breakpoints, breakpoints[1:]):
+    for a, b in _smooth_pieces(charging):
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         vals = fn(xs) * xs ** (r - 1) * (1.0 - xs) ** (n - r)
         total += 0.5 * (b - a) * float(np.dot(weights, vals))
@@ -897,6 +926,19 @@ def test_order_statistic_tables_are_cached_read_only():
                 assert np.array_equal(table, fresh)
                 with pytest.raises(ValueError):
                     table[0] = 0.0
+
+
+def test_capped_order_statistic_tables_split_at_the_cap():
+    # the capped g has a kink where it reaches 1: a Gauss-Legendre rule on
+    # each side of it is exact to rounding, one rule across it is off by 2.8e-5
+    for which in ("g", "h"):
+        for n in range(1, EXACT_MAX_N + 1):
+            want = [
+                _order_statistic_expectation(CAPPED, which, r, n)
+                for r in range(1, n + 1)
+            ]
+            got = _order_statistic_table(CAPPED, which, n)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13), (which, n)
 
 
 def test_exact_edge_cover_size_limit():

@@ -6,6 +6,7 @@ import concurrent.futures
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fomlab._parallel as par
@@ -134,3 +135,27 @@ def test_trials_over_the_budget_raise_before_any_chunk_list(monkeypatch):
     for few in (0, -5):
         with pytest.raises(ParamsInvalid):
             check_trials(few)
+
+
+def test_chunks_hold_at_most_chunk_ranks_entries(monkeypatch):
+    # both callers take their chunks from chunk_sizes(trials, n): 4096 rows
+    # up to n = 976, then CHUNK_RANKS // n rows; the chunks are recorded,
+    # not run
+    assert par.CHUNK_SIZE == 4096 and par.CHUNK_RANKS == 4_000_000
+    assert par.chunk_sizes(9000, 976) == [4096, 4096, 808]
+    assert par.chunk_sizes(9000, 977) == [4094, 4094, 812]
+    assert par.chunk_sizes(3, 10**7) == [1, 1, 1]
+    inst = path(2000)
+    seen = []
+
+    def recorded(worker_fn, args_list, workers=None):
+        seen.append([args[-1] for args in args_list])
+        if worker_fn is dual_mod._edge_cover_chunk:
+            return [(np.zeros(inst.m), np.zeros(inst.m), 0) for _ in args_list]
+        return [np.ones(args[-1], dtype=np.int64) for args in args_list]
+
+    monkeypatch.setattr(dual_mod, "run_chunked", recorded)
+    monkeypatch.setattr(hardness_mod, "run_chunked", recorded)
+    dual_mod.verify_feasibility(inst, PIECEWISE, 0.0, 5000, 0)
+    hardness_mod.empirical_ratio(inst, "ranking", 5000, 0)
+    assert seen == [[2000, 2000, 1000], [2000, 2000, 1000]]
