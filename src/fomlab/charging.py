@@ -55,23 +55,18 @@ CAP_POINT = 1.0 + math.log1p(-CAP_OFFSET)
 MAX_GRID_POINTS = 5001
 """Largest grid axis, a step of 2e-4.  The general bound's qsuf loop takes
 O(points^2) time and each further halving of the step quadruples it: at 2e-4
-the general bound takes 0.045-0.06 s, 0.037-0.043 s of it in that loop, and
-the bipartite bound 0.03-0.19 s (2 vCPU Xeon, numpy 2.4).  Memory stays
-O(points) through the row blocks (a 1.0-2.1 MiB tracemalloc peak for the
-general bound, 2.7 MiB for the bipartite one)."""
+the general bound takes 0.045-0.06 s, 0.037-0.043 s of it in that loop (2
+vCPU Xeon, numpy 2.4).  Memory stays O(points) through the row blocks (a
+1.0-2.1 MiB tracemalloc peak for the general bound)."""
 
-_ROW_BLOCK = 32
-"""Rows per block of the bipartite bound and of minimize_psi1.  Of 16, 32
-and 64 rows, the bipartite bound at step 1e-3 took 2.2-2.5 ms at each, and
-minimize_psi1 8.3-9.0 ms, 11.2 ms at 16; at 2e-4 the bipartite bound read
-32-44 ms at 16 and 32 rows and 184 ms at 64 (2 vCPU Xeon, 2 MiB L2)."""
-
-_PRUNED_ROW_BLOCK = 64
-"""Rows per block of the general bound, whose blocks run on their pruned
-theta columns only: a larger block evaluates fewer bounding rows over the
-whole axis but keeps more columns.  Of 16-256 rows, its medians were 22.1,
-18.1, 15.0, 18.2 and 15.8 ms at step 5e-4 and 72.9, 56.7, 51.1, 51.0 and
-47.1 ms at 2e-4 (2 vCPU Xeon, interleaved in one process)."""
+_ROW_BLOCK = 64
+"""Rows per block of the kernels that keep a (rows x theta) matrix.  The
+general bound's blocks run on their pruned theta columns only: a larger
+block evaluates fewer bounding rows over the whole axis but keeps more
+columns.  Of 16-256 rows, its medians were 22.1, 18.1, 15.0, 18.2 and 15.8
+ms at step 5e-4 and 72.9, 56.7, 51.1, 51.0 and 47.1 ms at 2e-4.
+minimize_psi1 took 7.3-7.4 ms at 64 rows and 7.6-7.9 ms at 32 (2 vCPU Xeon,
+medians interleaved in one process)."""
 
 COARSE_STEP = 1e-3
 """Step of the theta grid, and of psi1's tau grid, on which `minimize_psi1`
@@ -118,12 +113,12 @@ def _value(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
-def _by_row_blocks(n_rows: int, fn, size: int = _ROW_BLOCK) -> np.ndarray:
-    """A length-n_rows array filled by fn(rows), one slice of at most size
-    rows at a time."""
+def _by_row_blocks(n_rows: int, fn) -> np.ndarray:
+    """A length-n_rows array filled by fn(rows), one slice of at most
+    _ROW_BLOCK rows at a time."""
     out = np.empty(n_rows)
-    for start in range(0, n_rows, size):
-        rows = slice(start, start + size)
+    for start in range(0, n_rows, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
         out[rows] = fn(rows)
     return out
 
@@ -154,10 +149,13 @@ class ChargingFunction:
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
-        """Where g or h changes formula: the piecewise pair's t, the cap point."""
+        """Where g or h changes formula inside (0, 1): the piecewise pair's t,
+        the cap point.  A t outside (0, 1), or NaN, leaves one formula there."""
         if self.kind is ChargingKind.PIECEWISE_GENERAL:
-            return (self.constants.t,)
-        return (CAP_POINT,) if self.kind is ChargingKind.CAPPED_EXPONENTIAL else ()
+            points = (self.constants.t,)
+        else:
+            points = (CAP_POINT,) if self.kind is ChargingKind.CAPPED_EXPONENTIAL else ()
+        return tuple(x for x in points if 0.0 < x < 1.0)
 
     # -- evaluation at a float or an array of points ---------------------------
     # side decides the value at x == 1 only: AT gives the jump value there,
@@ -296,15 +294,14 @@ def _f_bipartite_matrix(
 ) -> np.ndarray:
     thetas = grid.axis()
     ig = charging.g_integral(thetas)
-    comp = 1.0 - charging.g_limit_grid(thetas)
     gy = charging.g_limit_grid(y)
+    # f(y) = min over theta of ig + min(1 - g, g(y)); rounding is monotone, so
+    # fl(a + min(b, c)) = min(fl(a + b), fl(a + c)) and the minimum splits,
+    # bitwise, into the y-free min(ig + 1 - g) and fl(min(ig) + g(y))
+    free = (ig + (1.0 - charging.g_limit_grid(thetas))).min()
     # theta = 1 at the jump: 1 - g(1) = 0 is also a legal candidate
     vals_at_one = charging.g_integral(1.0) + np.minimum(0.0, gy)
-
-    def block(rows: slice) -> np.ndarray:
-        return (ig + np.minimum(comp, gy[rows, None])).min(axis=1)
-
-    return np.minimum(_by_row_blocks(len(y), block), vals_at_one)
+    return np.minimum(np.minimum(free, ig.min() + gy), vals_at_one)
 
 
 def ratio_bipartite(
@@ -384,7 +381,7 @@ def _f_general_matrix(
     window, min(phi(1-minus), h) without one.  With the stock piecewise
     constants h never exceeds phi(1-minus), and the clamp never binds.
 
-    The rows of y run in blocks of _PRUNED_ROW_BLOCK, each against only the
+    The rows of y run in blocks of _ROW_BLOCK, each against only the
     theta columns that can hold one of its row minima.  Every op of `values`
     is nondecreasing in g(y_u) (adds, minimums, and products with xs or
     1 - xs, both >= 0), and so is each rounded result: the row at the
@@ -449,7 +446,7 @@ def _f_general_matrix(
         keep = (low <= high.min()).nonzero()[0]
         return values(gy_col, table[:, keep]).min(axis=1)
 
-    return _by_row_blocks(len(y), block, _PRUNED_ROW_BLOCK)
+    return _by_row_blocks(len(y), block)
 
 
 def ratio_general(

@@ -61,8 +61,8 @@ class Role(Enum):
 class RankAssignment:
     """Ranks and sides per vertex.  `positions` and `sorted_ranks` are built
     on first use and cached; they take no part in equality, hashing or
-    repr.  A NaN rank, which has no place in the order, raises
-    ParamsInvalid; +-inf is allowed."""
+    repr.  A NaN rank, which has no place in the order, or sides that are
+    not one Side per rank raise ParamsInvalid; +-inf is allowed."""
 
     ranks: tuple[float, ...]
     sides: tuple[Side, ...]
@@ -72,6 +72,10 @@ class RankAssignment:
         total = sum(self.ranks)
         if total != total and any(r != r for r in self.ranks):
             raise ParamsInvalid("a rank must not be NaN")
+        if len(self.sides) != len(self.ranks):
+            raise ParamsInvalid(f"{len(self.ranks)} ranks but {len(self.sides)} sides")
+        if not all(isinstance(s, Side) for s in self.sides):
+            raise ParamsInvalid("each side must be a Side")
 
     def key(self, v: int) -> tuple[float, int, int]:
         """Comparison key: rank, then just-below before at, then vertex id."""
@@ -103,11 +107,8 @@ class RankAssignment:
 
 def ranks_from_values(values, sides=None) -> RankAssignment:
     vals = tuple(float(x) for x in values)
-    if sides is None:
-        side_t = (Side.AT,) * len(vals)
-    else:
-        side_t = tuple(sides)
-    return RankAssignment(vals, side_t)
+    sides = (Side.AT,) * len(vals) if sides is None else tuple(sides)
+    return RankAssignment(vals, sides)
 
 
 def sample_ranks(instance: Instance, seed: int) -> RankAssignment:

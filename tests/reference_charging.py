@@ -1,11 +1,14 @@
-"""Whole-matrix references for the row-blocked bound kernels.
+"""Whole-matrix references for the bound kernels.
 
 These are the forms of `_f_bipartite_matrix`, `_f_general_matrix` and
 `minimize_psi1`'s `over_tau` that build every (rows x points) array at once,
 and of `psi1` that evaluates phi at every (theta, tau) point.  The kernels
-in `fomlab.charging` must match them bitwise: each element goes through the
-same float operations, and a row minimum does not depend on how the rows
-are grouped or on columns that cannot hold it.
+in `fomlab.charging` must match them bitwise.  The row-blocked ones put each
+element through the same float operations, and a row minimum does not
+depend on how the rows are grouped or on columns that cannot hold it.  The
+bipartite kernel keeps no matrix: rounding is monotone, so the minimum over
+theta of ig + min(1 - g(theta), g(y)) equals the minimum of the y-free
+min(ig + 1 - g) and min(ig) + g(y), each rounded once.
 """
 
 from __future__ import annotations

@@ -434,11 +434,13 @@ def piecewise_pairs(draw):
 @settings(max_examples=40, deadline=None)
 @given(ch=piecewise_pairs(), step=st.sampled_from([1e-2, 2e-3]))
 def test_general_kernel_matches_whole_matrix_for_valid_piecewise_pairs(ch, step):
+    # both kernels: the bipartite one's split of the theta-minimum holds for
+    # any pair, b = 0 (where g(0) = 0) included
     assume(check_properties(ch).passed)
     grid = BoundGrid(step)
-    for y in (_spanning_rows(150), grid.axis()):
-        got = charging_mod._f_general_matrix(y, ch, grid)
-        assert np.array_equal(got, reference_f_general(y, ch, grid))
+    for kernel, reference in KERNELS:
+        for y in (_spanning_rows(150), grid.axis()):
+            assert np.array_equal(kernel(y, ch, grid), reference(y, ch, grid))
 
 
 @pytest.mark.parametrize("step", [1e-2, 1e-3, 5e-4])
@@ -472,7 +474,7 @@ def test_blocked_minimize_psi1_matches_whole_matrix(y_u, monkeypatch):
         assert repr(got) == repr(want)
         (over_tau,) = seen
         full = np.clip(np.arange(0.0, 1.0 + 5e-4, 1e-3), 0.0, 1.0)
-        for thetas in [rng.random(k) for k in (1, 31, 32, 33)] + [
+        for thetas in [rng.random(k) for k in (1, 31, 32, 33, 63, 64, 65)] + [
             _spanning_rows(100), full,
         ]:
             assert np.array_equal(
@@ -515,8 +517,9 @@ def test_bound_values_pinned():
 def test_bound_kernels_memory_stays_flat():
     # numpy reports its buffers to tracemalloc; the whole-matrix forms in
     # reference_charging.py peak at about 1,145 / 382 / 47 MiB on these calls,
-    # the kernels at about 1.0-2.1 / 2.7 / 0.7 MiB.
+    # the kernels at about 1.0-2.1 / 0.27 / 1.2 MiB: the bipartite bound
+    # keeps no (y x theta) array at all.
     finest = BoundGrid(1.0 / (MAX_GRID_POINTS - 1))
     assert traced_peak_mib(lambda: ratio_general(PIECEWISE, finest)) < 5
-    assert traced_peak_mib(lambda: ratio_bipartite(EXPONENTIAL, finest)) < 32
+    assert traced_peak_mib(lambda: ratio_bipartite(EXPONENTIAL, finest)) < 1
     assert traced_peak_mib(lambda: minimize_psi1(1.0, PIECEWISE)) < 8

@@ -25,6 +25,7 @@ from fomlab.charging import (
     PIECEWISE,
     ChargingFunction,
     ChargingKind,
+    check_properties,
     ratio_bipartite,
     ratio_general,
 )
@@ -400,6 +401,48 @@ def test_assign_duals_checks_each_charging_once_cached(monkeypatch):
             with pytest.raises(ChargingInvalid):
                 call()
     assert sum(assign_duals(triangle(), ranks, PIECEWISE).alpha) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("t", [1.5, -0.5, math.nan])
+def test_piecewise_breakpoint_outside_the_unit_interval(t):
+    # a t outside (0, 1) leaves g and h one linear formula on [0, 1]; it is
+    # no breakpoint, so check_properties judges the pair instead of raising
+    # OutOfDomain on a grid point beyond 1 or below 0
+    ch = ChargingFunction(
+        ChargingKind.PIECEWISE_GENERAL, dataclasses.replace(B2_CONSTANTS, t=t)
+    )
+    assert ch.breakpoints == ()
+    report = check_properties(ch).as_dict()
+    failed = {name for name, ok in report.items() if not ok}
+    xs = np.linspace(0.0, 1.0, 1001)
+    inst = random_instance(6, 0.7, False, 1)
+    if t == 1.5:
+        # the first pieces hold on all of [0, 1], bit for bit
+        assert failed == set()
+        assert np.array_equal(ch.g(xs, Side.JUST_BELOW), 0.21 * xs + 0.46)
+        g_line, h_line = (0.21, 0.46), (0.26, 0.0)
+        report = verify_feasibility(inst, ch, 0.5, 256, 1)
+        assert report.cond1_violations == 0
+    elif t == -0.5:
+        # the second pieces: g = 0.1x + 0.405 and h = 0.17x - 0.045, whose
+        # h(y)/y rises
+        assert failed == {"h_over_y_nonincreasing", "passed"}
+        g_line, h_line = (0.1, 0.405), (0.17, -0.045)
+    else:
+        assert failed == {
+            "g_nondecreasing", "h_nondecreasing", "h_over_y_nonincreasing",
+            "phi_nonnegative", "passed",
+        }
+        g_line = h_line = (math.nan, math.nan)
+    if t != 1.5:
+        with pytest.raises(ChargingInvalid):
+            verify_feasibility(inst, ch, 0.5, 256, 1)
+    # one piece: E[k U_(r:n) + c] = k r / (n + 1) + c
+    for which, (k, c) in (("g", g_line), ("h", h_line)):
+        for n in range(1, EXACT_MAX_N + 1):
+            want = k * np.arange(1, n + 1) / (n + 1) + c
+            got = _order_statistic_table(ch, which, n)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-14, equal_nan=True)
 
 
 def test_assign_duals_matches_per_vertex_reference():

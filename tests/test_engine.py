@@ -505,6 +505,25 @@ def test_nan_ranks_are_rejected(v):
     assert run_ranking(star(3), inf).partner[0] == 1
 
 
+def test_sides_must_be_one_side_per_rank():
+    # one side short made run_ranking fail with an IndexError inside key;
+    # a string side was read as AT
+    values = (0.1, 0.2, 0.3, 0.4)
+    with pytest.raises(ParamsInvalid, match="4 ranks but 3 sides"):
+        RankAssignment(values, (Side.AT,) * 3)
+    with pytest.raises(ParamsInvalid, match="3 ranks but 2 sides"):
+        ranks_from_values(values[:3], sides=[Side.AT] * 2)
+    with pytest.raises(ParamsInvalid, match="5 ranks"):
+        RankAssignment(values + (0.5,), (Side.AT,) * 4)
+    for bad in ("at", None, Side.AT.value):
+        with pytest.raises(ParamsInvalid, match="must be a Side"):
+            RankAssignment(values, (Side.AT, bad, Side.AT, Side.AT))
+    ranks = ranks_from_values(values, [Side.JUST_BELOW] * 4)
+    with pytest.raises(ParamsInvalid, match="must be a Side"):
+        ranks.with_rank(2, 0.5, "just_below")
+    assert run_ranking(star(3), ranks).partner[0] == 1
+
+
 def test_rank_assignment_caches_positions_outside_equality():
     # ties on rank and side go to the smaller id, ties on rank alone to the
     # just-below side
