@@ -23,7 +23,7 @@ from .dual import verify_feasibility
 from .engine import ranks_from_values, run_ranking, sample_ranks
 from .errors import FomlabError, InvariantViolated
 from .instance import load_instance, random_instance, random_one_sided, save_instance
-from .oracle import max_matching_bipartite, max_matching_general
+from .oracle import max_matching_general
 
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
@@ -329,15 +329,9 @@ def hardness(mode, k, h, fmt, out):
 @_out_opt
 def opt(instance_path, fmt, out):
     """Offline maximum-matching size (oracle)."""
-    inst = _load(instance_path)
-    if inst.is_bipartite():
-        res = max_matching_bipartite(inst)
-        oracle = "hopcroft-karp"
-    else:
-        res = max_matching_general(inst)
-        oracle = "blossom"
+    res = max_matching_general(_load(instance_path))
     report = {
-        "oracle": oracle,
+        "oracle": "blossom",
         "size": res.size,
         "witness": sorted([u, v] for u, v in res.witness),
     }

@@ -98,6 +98,11 @@ class RankAssignment:
     def with_rank(
         self, v: int, rank: float, side: Side = Side.AT
     ) -> "RankAssignment":
+        """A copy with v's rank and side replaced; IndexOutOfRange unless v
+        is in [0, n)."""
+        n = len(self.ranks)
+        if not 0 <= v < n:
+            raise IndexOutOfRange(f"vertex {v} out of range [0, {n})")
         ranks = list(self.ranks)
         sides = list(self.sides)
         ranks[v] = rank

@@ -181,6 +181,17 @@ def _edge_pairs(edges) -> np.ndarray:
     return pairs
 
 
+def edge_keys(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """Each pair's key lo * n + hi, in the edge array's order when lo < hi.
+    Keys of pairs in [0, n) are below n^2: int32 while n^2 fits, else
+    int64.  A pair outside [0, n) may wrap; callers check the range."""
+    key_type = np.int32 if n * n < 2**31 else np.int64
+    keys = lo.astype(key_type)
+    keys *= n
+    keys += hi
+    return keys
+
+
 def _raise_first_fault(keys, loop, late, head, pairs, n) -> None:
     """Raise the error a one-edge-at-a-time check meets first.
 
@@ -275,17 +286,16 @@ def build_instance(
     out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     # the edges before the first out-of-range one are checked first
     head = int(np.argmax(out)) if out.any() else len(pairs)
-    # an edge's key lo * n + hi is below n^2, so int32 keys do when n^2 is
-    key_type = np.int32 if n * n < 2**31 else np.int64
-    lo = np.minimum(u[:head], v[:head]).astype(key_type)
-    hi = np.maximum(u[:head], v[:head]).astype(key_type)
+    # ids in [0, n) fit in int32, as in the edge array
+    lo = np.minimum(u[:head], v[:head]).astype(np.int32)
+    hi = np.maximum(u[:head], v[:head]).astype(np.int32)
     loop = lo == hi
     # the model-guarantee gathers run before the keys exist, so that their
     # scratch does not add to the keys' peak
     late = np.maximum(apos.take(lo), apos.take(hi)) > np.minimum(
         dpos.take(lo), dpos.take(hi)
     )
-    keys = lo * n + hi
+    keys = edge_keys(lo, hi, n)
     del lo, hi
     sorted_keys = np.sort(keys)
     if (
@@ -323,7 +333,7 @@ def build_instance(
     # the edge array lists the higher neighbours row by row
     indices[higher] = second
     # sorted by (second, first), the edges list the lower neighbours row by row
-    lower = second.astype(key_type) * n + first
+    lower = edge_keys(second, first, n)
     lower.sort()
     np.logical_not(higher, out=higher)
     indices[higher] = lower % n

@@ -1,12 +1,11 @@
 """Offline maximum-matching oracles used as competitive-ratio denominators.
 
-Three redundant routes: Hopcroft-Karp for bipartite instances, Edmonds'
-cardinality blossom algorithm for general graphs, and an exponential
-branch-and-bound for tiny edge counts.  All three are hand-written; the test
-suite cross-validates them against each other and against networkx.  The
-blossom search keeps its blossom bases in a union-find, so a contraction
-costs the blossom's two tree paths, not a scan of the whole tree; the tests
-keep the scanning form and check that both return the same witness.
+Edmonds' cardinality blossom algorithm is the one exact search, for
+bipartite and general graphs alike, with an exponential branch-and-bound
+for tiny edge counts.  Blossom bases sit in a union-find, so a contraction
+costs the blossom's two tree paths, not a scan of the whole tree.  The
+tests cross-validate both oracles with each other, with networkx and with
+tests/reference_oracle.py: Hopcroft-Karp and the whole-tree-scan blossom.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvariantViolated, NotBipartite, TooLarge
-from .instance import Instance
+from .instance import Instance, edge_keys
 
 BRUTEFORCE_EDGE_BUDGET = 24
 
@@ -38,15 +37,13 @@ def _check_witness(instance: Instance, witness) -> None:
     """
     n = instance.n
     pairs = np.fromiter(chain.from_iterable(witness), np.int64).reshape(-1, 2)
-    u, v = pairs.T
-    keys = np.minimum(u, v) * n + np.maximum(u, v)
-    first, second = instance.edge_array.T
-    edge_keys = first.astype(np.int64) * n + second
-    at = np.searchsorted(edge_keys, keys)
-    in_range = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < n)
+    lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
+    keys = edge_keys(lo, hi, n)
+    graph_keys = edge_keys(*instance.edge_array.T, n)
+    at = np.searchsorted(graph_keys, keys)
     if (
-        (in_range & (at < len(edge_keys))).all()
-        and (edge_keys[at] == keys).all()
+        ((lo >= 0) & (hi < n) & (at < len(graph_keys))).all()
+        and (graph_keys[at] == keys).all()
         and np.bincount(pairs.ravel(), minlength=n).max(initial=0) <= 1
     ):
         return
@@ -61,7 +58,7 @@ def _check_witness(instance: Instance, witness) -> None:
 
 def _greedy_start(instance: Instance) -> list[int]:
     """A maximal matching as `match[v]` (partner or -1) to seed the exact
-    searches: vertices in ascending degree, each matched to its free
+    search: vertices in ascending degree, each matched to its free
     neighbour of lowest degree.  Low-degree vertices have the fewest
     chances to be matched later, so this leaves few augmenting paths."""
     deg_array = np.diff(instance.indptr)
@@ -87,73 +84,11 @@ def _result(instance: Instance, match: list[int]) -> OracleResult:
 
 
 def max_matching_bipartite(instance: Instance) -> OracleResult:
-    """Exact maximum matching via Hopcroft-Karp with layered BFS phases."""
+    """Exact maximum matching of an instance that carries a bipartition: the
+    blossom search, which finds no odd cycle to contract here."""
     if instance.bipartition is None:
         raise NotBipartite("instance carries no bipartition witness")
-    left = [v for v in range(instance.n) if instance.bipartition[v] == 0]
-    match = _greedy_start(instance)
-    if all(match[u] != -1 for u in left):
-        # no free left vertex, so no BFS phase: the tuple adjacency stays unbuilt
-        return _result(instance, match)
-    adj = instance.adj
-    INF = instance.n + 1
-    # dist[-1], the sentinel slot, is the layer of the free right vertices:
-    # match[w] == -1 indexes it.
-    dist = [INF] * (instance.n + 1)
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in left:
-            if match[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        dist[-1] = INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] < dist[-1]:
-                for w in adj[u]:
-                    nxt = match[w]
-                    if dist[nxt] == INF:
-                        dist[nxt] = dist[u] + 1
-                        queue.append(nxt)
-        return dist[-1] != INF
-
-    def dfs(root: int, cursor: list[int]) -> None:
-        # Iterative: an augmenting path can be as long as the graph.
-        # adj[u][cursor[u] - 1] is the edge u last took down the path.
-        stack = [root]
-        while stack:
-            u = stack[-1]
-            nbrs = adj[u]
-            i = cursor[u]
-            while i < len(nbrs):
-                nxt = match[nbrs[i]]
-                i += 1
-                if dist[nxt] == dist[u] + 1:
-                    break
-            else:
-                cursor[u] = i
-                dist[u] = INF
-                stack.pop()
-                continue
-            cursor[u] = i
-            if nxt != -1:
-                stack.append(nxt)
-                continue
-            for u in stack:
-                w = adj[u][cursor[u] - 1]
-                match[u] = w
-                match[w] = u
-            return
-
-    while bfs():
-        cursor = [0] * instance.n
-        for u in left:
-            if match[u] == -1:
-                dfs(u, cursor)
-    return _result(instance, match)
+    return max_matching_general(instance)
 
 
 def max_matching_general(instance: Instance) -> OracleResult:
@@ -165,8 +100,14 @@ def max_matching_general(instance: Instance) -> OracleResult:
     a union-find with path compression: a contraction links the bases on
     its two paths to the new base, and touches no other vertex of the tree.
     """
-    n, adj = instance.n, instance.adj
+    n = instance.n
     match = _greedy_start(instance)
+    # only a free vertex with an edge can start an augmenting path; when the
+    # greedy start leaves none, the tuple adjacency is never built
+    roots = np.flatnonzero(np.equal(match, -1) & (np.diff(instance.indptr) > 0))
+    if not roots.size:
+        return _result(instance, match)
+    adj = instance.adj
     # Per-search state, reset after each search on the vertices it touched:
     # parent[w] is the tree parent of an odd vertex w, outer[v] whether v is
     # an even vertex, and base[v] a union-find link towards the base of the
@@ -256,8 +197,9 @@ def max_matching_general(instance: Instance) -> OracleResult:
                     outer[mate] = True
                     queue.append(mate)
 
-    for root in range(n):
-        if match[root] == -1 and adj[root]:
+    for root in roots.tolist():
+        # an augmenting path from an earlier root may have ended at this one
+        if match[root] == -1:
             tree = [root]
             search(root, tree)
             for x in tree:

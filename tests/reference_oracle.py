@@ -1,17 +1,88 @@
-"""The blossom search that relabelled bases by scanning the whole tree.
+"""Earlier exact searches, kept as references for the production oracle.
 
-`max_matching_general` replaced the scan on each contraction with a
-union-find of blossom bases; this is the earlier form, kept so that tests
-can check that the two make every decision alike and so return the same
-witness.
+`reference_max_matching_bipartite` is Hopcroft-Karp with layered BFS
+phases; the blossom search serves bipartite instances now, and tests check
+its sizes against this independent algorithm.
+`reference_max_matching_general` is the blossom search that relabelled
+bases by scanning the whole tree; `max_matching_general` replaced the scan
+on each contraction with a union-find of blossom bases, and tests check
+that the two make every decision alike and so return the same witness.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from fomlab.errors import NotBipartite
 from fomlab.instance import Instance
 from fomlab.oracle import OracleResult, _greedy_start, _result
+
+
+def reference_max_matching_bipartite(instance: Instance) -> OracleResult:
+    """Exact maximum matching via Hopcroft-Karp with layered BFS phases."""
+    if instance.bipartition is None:
+        raise NotBipartite("instance carries no bipartition witness")
+    left = [v for v in range(instance.n) if instance.bipartition[v] == 0]
+    match = _greedy_start(instance)
+    adj = instance.adj
+    INF = instance.n + 1
+    # dist[-1], the sentinel slot, is the layer of the free right vertices:
+    # match[w] == -1 indexes it.
+    dist = [INF] * (instance.n + 1)
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in left:
+            if match[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        dist[-1] = INF
+        while queue:
+            u = queue.popleft()
+            if dist[u] < dist[-1]:
+                for w in adj[u]:
+                    nxt = match[w]
+                    if dist[nxt] == INF:
+                        dist[nxt] = dist[u] + 1
+                        queue.append(nxt)
+        return dist[-1] != INF
+
+    def dfs(root: int, cursor: list[int]) -> None:
+        # Iterative: an augmenting path can be as long as the graph.
+        # adj[u][cursor[u] - 1] is the edge u last took down the path.
+        stack = [root]
+        while stack:
+            u = stack[-1]
+            nbrs = adj[u]
+            i = cursor[u]
+            while i < len(nbrs):
+                nxt = match[nbrs[i]]
+                i += 1
+                if dist[nxt] == dist[u] + 1:
+                    break
+            else:
+                cursor[u] = i
+                dist[u] = INF
+                stack.pop()
+                continue
+            cursor[u] = i
+            if nxt != -1:
+                stack.append(nxt)
+                continue
+            for u in stack:
+                w = adj[u][cursor[u] - 1]
+                match[u] = w
+                match[w] = u
+            return
+
+    while bfs():
+        cursor = [0] * instance.n
+        for u in left:
+            if match[u] == -1:
+                dfs(u, cursor)
+    return _result(instance, match)
 
 
 def reference_max_matching_general(instance: Instance) -> OracleResult:

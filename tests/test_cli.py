@@ -550,7 +550,7 @@ def test_opt_subcommand(instance_file):
     res = run_cli("opt", "--instance", str(instance_file))
     assert res.returncode == 0
     data = json.loads(res.stdout)
-    assert data["oracle"] == "hopcroft-karp"
+    assert data["oracle"] == "blossom"
     assert data["size"] >= 0
 
 

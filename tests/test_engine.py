@@ -524,6 +524,16 @@ def test_sides_must_be_one_side_per_rank():
     assert run_ranking(star(3), ranks).partner[0] == 1
 
 
+def test_with_rank_checks_the_vertex():
+    # v = -1 rewrote vertex 2's rank; v = 3 died with a bare IndexError
+    ranks = ranks_from_values([0.1, 0.2, 0.3])
+    for v in (-1, 3):
+        for side in Side:
+            with pytest.raises(IndexOutOfRange, match=rf"^vertex {v} out of range"):
+                ranks.with_rank(v, 0.9, side)
+    assert ranks.with_rank(2, 0.9).ranks == (0.1, 0.2, 0.9)
+
+
 def test_rank_assignment_caches_positions_outside_equality():
     # ties on rank and side go to the smaller id, ties on rank alone to the
     # just-below side

@@ -19,7 +19,7 @@ from fomlab.hardness import (
     gen_adversary_tree,
     gen_ranking_hard,
 )
-from fomlab.errors import DuplicateEdge, TooLarge
+from fomlab.errors import DuplicateEdge, InvariantViolated, TooLarge
 from fomlab.instance import (
     MAX_PAIRS,
     A,
@@ -29,6 +29,7 @@ from fomlab.instance import (
     random_instance,
     random_one_sided,
 )
+from fomlab.oracle import _check_witness
 from conftest import traced_peak_mib
 from reference_instance import (
     reference_adversary_tree,
@@ -109,6 +110,10 @@ def test_wide_instance_keys_do_not_wrap():
             _assert_same_arrays(build_instance(n, events, as_array), inst)
         with pytest.raises(DuplicateEdge, match=rf"\({top - 1}, {top}\)"):
             build_instance(n, events, edges + [(top - 1, top)])
+        # the witness check keys its pairs by the same rule
+        _check_witness(inst, {(top, top - 1), (3, 2)})
+        with pytest.raises(InvariantViolated, match=rf"\({top - 2}, {top - 1}\)"):
+            _check_witness(inst, {(top - 2, top - 1)})
 
 
 def test_hardness_builds_memory_stays_flat():

@@ -12,7 +12,10 @@ from fomlab.hardness import (
     gen_ranking_hard,
 )
 from fomlab.instance import A, D, build_instance, random_instance
-from reference_oracle import reference_max_matching_general
+from reference_oracle import (
+    reference_max_matching_bipartite,
+    reference_max_matching_general,
+)
 from fomlab.oracle import (
     BRUTEFORCE_EDGE_BUDGET,
     _check_witness,
@@ -80,8 +83,8 @@ def test_bipartite_vs_blossom_thousand_graphs():
         n = int(rng.integers(2, 12))
         p = float(rng.uniform(0.1, 0.9))
         inst = random_instance(n, p, True, int(rng.integers(0, 2**31)))
-        a = max_matching_bipartite(inst)
-        b = max_matching_general(inst)
+        a = reference_max_matching_bipartite(inst)
+        b = max_matching_bipartite(inst)
         assert a.size == b.size, inst
 
 
@@ -247,7 +250,21 @@ def test_hopcroft_karp_vs_blossom_up_to_n200():
         n = int(rng.integers(2, 201))
         p = float(rng.uniform(0.5, 8.0)) / n
         inst = random_instance(n, min(p, 1.0), True, int(rng.integers(0, 2**31)))
-        assert max_matching_bipartite(inst).size == max_matching_general(inst).size
+        ref = reference_max_matching_bipartite(inst)
+        assert ref.size == max_matching_bipartite(inst).size
+
+
+def test_bipartite_sizes_match_hopcroft_karp_up_to_n3000():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        n = int(rng.integers(500, 3001))
+        p = float(rng.uniform(1.0, 6.0)) / n
+        inst = random_instance(n, p, True, int(rng.integers(0, 2**31)))
+        res = max_matching_bipartite(inst)
+        ref = reference_max_matching_bipartite(inst)
+        assert res.size == ref.size, (n, p)
+        _check_witness(inst, res.witness)
+        _check_witness(inst, ref.witness)
 
 
 @pytest.mark.parametrize("k,h", [(1, 1), (2, 3), (3, 2), (7, 2)])
@@ -283,9 +300,30 @@ def test_hopcroft_karp_long_augmenting_path_is_iterative():
     greedy = _greedy_start(inst)
     assert greedy.count(-1) == 2
     limit = sys.getrecursionlimit()
-    res = max_matching_bipartite(inst)
-    assert res.size == inst.n // 2
-    assert sys.getrecursionlimit() == limit
+    for oracle in (max_matching_bipartite, reference_max_matching_bipartite):
+        res = oracle(inst)
+        assert res.size == inst.n // 2
+        assert sys.getrecursionlimit() == limit
+
+
+def test_blossom_builds_the_tuple_adjacency_only_for_a_search():
+    # the greedy start is perfect on both hardness families, so no vertex
+    # starts a search and the tuple views stay unbuilt
+    for inst in (
+        gen_ranking_hard(LayeredParams(k=10, h=5)),
+        gen_adversary_tree(AdversaryTreeParams(k=3, h=2, seed=0)),
+    ):
+        res = max_matching_general(inst)
+        assert res.size == inst.n // 2
+        assert "adj" not in inst.__dict__
+    # a 5-cycle 0-2-3-1-5 with a pendant 4 at 0: greedy matches (0, 4) and
+    # (1, 3), and leaves 2 and 5 to the augmenting path 2-3-1-5
+    inst = _all_present(6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3)])
+    assert _greedy_start(inst) == [4, 3, -1, 1, 0, -1]
+    res = max_matching_general(inst)
+    assert "adj" in inst.__dict__
+    assert res == reference_max_matching_general(inst)
+    assert res.witness == {(0, 4), (1, 5), (2, 3)}
 
 
 def test_witness_check_rejects_non_matching():
