@@ -2,7 +2,7 @@
 
 Work is split into chunks (`chunk_sizes`) keyed by chunk id; each chunk
 derives its own RNG substream, so results are bitwise identical for any worker
-count.  Reduction happens in chunk-id order.
+count.  Results arrive, and are reduced, in chunk-id order.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ MAX_TRIALS = 1 << 25
 `empirical_ratio` keeps every trial's ratio until its mean: it peaks at
 32 B per trial for Ranking and 40 B for Greedy on a fixed instance
 (tracemalloc, a 4-vertex path at 2^20 and 2^22 trials), 1.0 to 1.25 GiB at
-the budget.  `verify_feasibility` keeps no per-trial array, but its chunks,
-8,192 or more at the budget, each hold their arguments and two floats per
-edge until the reduction; `CHUNK_RANKS` bounds the memory of each."""
+the budget.  `verify_feasibility` keeps no per-trial array: it holds its
+8,192 or more chunks' arguments, and folds each chunk's two floats per edge
+into its sums as the chunk's result arrives; `CHUNK_RANKS` bounds the
+memory of each chunk."""
 
 
 def check_trials(trials: int) -> None:
@@ -74,13 +75,19 @@ def chunk_sizes(total: int, n: int) -> list[int]:
 
 
 def run_chunked(worker_fn, args_list, workers=None):
-    """Apply worker_fn to each args tuple; results returned in input order."""
+    """Apply worker_fn to each args tuple; the results are yielded in input
+    order as they are read, so a caller can fold each in and drop it.  The
+    worker count is checked at the call, before any chunk runs."""
     nworkers = pool_size(workers, len(args_list))
     if nworkers <= 1:
-        return [worker_fn(a) for a in args_list]
+        return map(worker_fn, args_list)
+    return _pooled(worker_fn, args_list, nworkers)
+
+
+def _pooled(worker_fn, args_list, nworkers):
     # imported here: concurrent.futures.process loads multiprocessing, which
     # only a pool needs
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(worker_fn, args_list))
+        yield from pool.map(worker_fn, args_list)

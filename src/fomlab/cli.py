@@ -20,7 +20,7 @@ from . import charging as charging_mod
 from . import hardness as hardness_mod
 from ._parallel import resolve_workers
 from .dual import verify_feasibility
-from .engine import ranks_from_values, run_ranking, sample_ranks
+from .engine import ranking_trace, ranks_from_values, run_ranking, sample_ranks
 from .errors import FomlabError, InvariantViolated
 from .instance import load_instance, random_instance, random_one_sided, save_instance
 from .oracle import max_matching_general
@@ -170,7 +170,7 @@ def run(instance_path, alg, seed, trace, fmt, out):
         ranks = sample_ranks(inst, seed)
     else:  # Greedy is Ranking on the arrival positions, as in `run_greedy`
         ranks = ranks_from_values(inst.arrival_pos)
-    outcome = run_ranking(inst, ranks, with_trace=trace)
+    outcome = run_ranking(inst, ranks)
     report = {
         "algorithm": alg,
         "seed": seed,
@@ -180,7 +180,7 @@ def run(instance_path, alg, seed, trace, fmt, out):
         "unmatched": sorted(outcome.unmatched),
     }
     if trace:
-        report["trace"] = list(outcome.trace)
+        report["trace"] = list(ranking_trace(inst, ranks, outcome))
     _emit(report, fmt, out)
 
 

@@ -53,7 +53,7 @@ from .errors import (
     RankMissing,
     TooLarge,
 )
-from .instance import Instance
+from .instance import Instance, edge_keys
 
 COND1_TOL = 1e-9
 
@@ -360,9 +360,9 @@ def _alphas(instance: Instance, ranks_matrix: np.ndarray, g, h):
     # neighbours, looked up by (payer, d) in the CSR's sorted (row, entry)
     # keys; a neighbour listed twice would be two victims
     ended = np.flatnonzero(~extra_free)
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(instance.indptr))
-    keys = keys * n + instance.indices
-    query = payer[ended].astype(np.int64) * n + d[ended]
+    csr_rows = np.repeat(np.arange(n), np.diff(instance.indptr))
+    keys = edge_keys(csr_rows, instance.indices, n)
+    query = edge_keys(payer[ended], d[ended], n)
     hits = np.searchsorted(keys, query, "right") - np.searchsorted(keys, query)
     if (hits > 1).any():
         raise InvariantViolated(
@@ -470,7 +470,8 @@ def verify_feasibility(
     sums = np.zeros(instance.m)
     sumsqs = np.zeros(instance.m)
     cond1_bad = 0
-    # in chunk-id order, whatever the worker count
+    # each chunk folded in as it arrives, in chunk-id order whatever the
+    # worker count, and then dropped
     for s, sq, bad in run_chunked(_edge_cover_chunk, args, workers=workers):
         sums += s
         sumsqs += sq
@@ -565,4 +566,8 @@ def exact_edge_cover(
     e = (min(edge), max(edge))
     if not instance.has_edge(*e):
         raise RankMissing(f"edge {e} not in instance")
-    return float(exact_edge_covers(instance, charging)[instance.edges.index(e)])
+    # the edge array is sorted by key, so the edge's row is its key's place
+    n = instance.n
+    lo, hi = np.array([e]).T
+    row = np.searchsorted(edge_keys(*instance.edge_array.T, n), edge_keys(lo, hi, n))
+    return float(exact_edge_covers(instance, charging)[row[0]])

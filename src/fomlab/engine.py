@@ -6,7 +6,8 @@ The deadline vertex of each matched pair is labeled active, its partner
 passive.  `run_ranking` is Ranking's one scalar loop; it is also the
 counterfactual run (`removed`) of `dual.marginal_rank` and
 `dual.find_victim`.  Its `MatchingOutcome` holds the partner and role
-lists, and builds `pairs` and `unmatched` only when they are read.
+lists, and builds `pairs` and `unmatched` only when they are read;
+`ranking_trace` reads a finished run's per-deadline trace off its roles.
 `run_ranking_batch` is a numpy kernel that replays the same
 execution for many rank vectors at once; it is cross-checked against the
 scalar engine in the test suite.  It works on integer rank positions
@@ -125,14 +126,13 @@ def sample_ranks(instance: Instance, seed: int) -> RankAssignment:
 @dataclass(frozen=True)
 class MatchingOutcome:
     """One run of Ranking: each vertex's partner (-1 for unmatched) and role,
-    the vertex left out of the run, if any, and the trace when asked for.
-    `pairs` and `unmatched` are read off `partner` on first use and cached;
-    they take no part in equality, hashing or repr."""
+    and the vertex left out of the run, if any.  `pairs` and `unmatched`
+    are read off `partner` on first use and cached; they take no part in
+    equality, hashing or repr."""
 
     partner: tuple[int, ...]
     role: tuple[Optional[Role], ...]
     removed: Optional[int] = None
-    trace: Optional[tuple[str, ...]] = None
 
     @cached_property
     def pairs(self) -> frozenset[tuple[int, int]]:
@@ -154,9 +154,11 @@ class MatchingOutcome:
         return self.partner[v] >= 0
 
 
-def _trace_line(v: int, u: Optional[int], decision: str, ranks: RankAssignment) -> str:
-    if u is None:
+def _trace_line(v: int, u: int, role: Optional[Role], ranks: RankAssignment) -> str:
+    """v's line at its deadline; u is v's partner, -1 if v went unmatched."""
+    if u < 0:
         return f"deadline v={v} decision=unmatched partner=- rank=-"
+    decision = "already-matched" if role is Role.PASSIVE else "match"
     return f"deadline v={v} decision={decision} partner={u} rank={ranks.ranks[u]:.12g}"
 
 
@@ -165,18 +167,13 @@ def run_ranking(
     ranks: RankAssignment,
     *,
     removed: Optional[int] = None,
-    with_trace: bool = False,
 ) -> MatchingOutcome:
     """Lazy Ranking: a deadline vertex takes its min-rank unmatched neighbor.
 
     The deadlines come in `instance.deadline_order`; a free deadline vertex
     takes its free neighbour of least `RankAssignment.key`, through the
     assignment's cached `positions`.  `removed`, when given, takes no part
-    in the run; IndexOutOfRange unless it is in [0, n).  A vertex is free at
-    its own deadline unless it is passive, and a vertex left unmatched there
-    has no free neighbour later, so the trace follows from the final roles:
-    a passive vertex was already matched, an active one matched, and any
-    other went unmatched.
+    in the run; IndexOutOfRange unless it is in [0, n).
     """
     n = instance.n
     if len(ranks.ranks) != n:
@@ -202,19 +199,22 @@ def run_ranking(
             partner[pick] = v
             role[v] = Role.ACTIVE
             role[pick] = Role.PASSIVE
-    trace = None
-    if with_trace:
-        trace = tuple(
-            _trace_line(
-                v,
-                partner[v] if partner[v] >= 0 else None,
-                "already-matched" if role[v] is Role.PASSIVE else "match",
-                ranks,
-            )
-            for v in instance.deadline_order
-            if v != removed
-        )
-    return MatchingOutcome(tuple(partner), tuple(role), removed, trace)
+    return MatchingOutcome(tuple(partner), tuple(role), removed)
+
+
+def ranking_trace(
+    instance: Instance, ranks: RankAssignment, outcome: MatchingOutcome
+) -> tuple[str, ...]:
+    """The trace of Ranking's run `outcome` on `ranks`: a line per deadline
+    but the removed vertex's, read off the final roles.  A vertex is free at
+    its own deadline unless it is passive, and a vertex left unmatched there
+    has no free neighbour later: a passive vertex was already matched, an
+    active one matched, and any other went unmatched."""
+    return tuple(
+        _trace_line(v, outcome.partner[v], outcome.role[v], ranks)
+        for v in instance.deadline_order
+        if v != outcome.removed
+    )
 
 
 def run_greedy(instance: Instance) -> MatchingOutcome:
@@ -318,12 +318,11 @@ def _run_ranking_positions(
 ) -> np.ndarray:
     """Replay Ranking on every column of the rank positions (K, V).
 
-    K and V are `rank_positions`' (n x trials) arrays; K[u] = n marks u as
-    removed.  K is overwritten.  Returns the vertex-major `choice`, in K's
-    dtype: each deadline-side vertex's partner, -1 everywhere else (so
-    `choice >= 0` marks the active entries, and each matched pair appears
-    once).  Build `instance.later` before K and V, so that its scratch does
-    not add to their peak.
+    K and V are `rank_positions`' (n x trials) arrays; K is overwritten.
+    Returns the vertex-major `choice`, in K's dtype: each deadline-side
+    vertex's partner, -1 everywhere else (so `choice >= 0` marks the active
+    entries, and each matched pair appears once).  Build `instance.later`
+    before K and V, so that its scratch does not add to their peak.
     """
     n, trials = K.shape
     # a view, as K is C-contiguous: the steps read what they write
@@ -332,7 +331,7 @@ def _run_ranking_positions(
     later_ptr, later = instance.later
     ptr = later_ptr.tolist()
     choice = np.full((n, trials), -1, dtype=K.dtype)
-    # K[u] = n marks u matched or removed; no step after v's deadline reads K[v]
+    # K[u] = n marks u matched; no step after v's deadline reads K[v]
     for v in instance.deadline_order:
         lo, hi = ptr[v], ptr[v + 1]
         if lo == hi:
@@ -351,9 +350,7 @@ def _run_ranking_positions(
 
 
 def run_ranking_batch(
-    instance: Instance,
-    ranks_matrix: np.ndarray,
-    removed: Optional[int] = None,
+    instance: Instance, ranks_matrix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replay Ranking for every row of ranks_matrix (trials x n).
 
@@ -367,13 +364,9 @@ def run_ranking_batch(
     trials, n = ranks_matrix.shape
     if n != instance.n:
         raise RankMissing(f"rank matrix covers {n} of {instance.n} vertices")
-    if removed is not None and not 0 <= removed < n:
-        raise IndexOutOfRange(f"vertex {removed} out of range [0, {n})")
     # built before K and V, so that its scratch does not add to their peak
     instance.later
     K, V = rank_positions(ranks_matrix)
-    if removed is not None:
-        K[removed] = n
     choice = _run_ranking_positions(instance, K, V)
     active = choice >= 0
     partner = choice.astype(np.int32)

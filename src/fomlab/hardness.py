@@ -301,13 +301,9 @@ def _opt_size(instance: Instance) -> int:
 
 
 def _sizes_chunk(args):
-    """Ranking's sizes on `rows` uniform rank rows from default_rng(key), or
-    with key None, its size on the arrival positions (Greedy) `rows` times."""
+    """Ranking's sizes on `rows` uniform rank rows from default_rng(key)."""
     instance, key, rows = args
-    if key is not None:
-        return drawn_ranking_sizes(instance, np.random.default_rng(key), rows)
-    arrival = np.asarray(instance.arrival_pos, dtype=float)[None]
-    return np.resize(run_ranking_batch(instance, arrival)[1].sum(axis=1), rows)
+    return drawn_ranking_sizes(instance, np.random.default_rng(key), rows)
 
 
 def adversary_tree_source(k: int, h: int, seed: int) -> Callable[[int], Instance]:
@@ -338,8 +334,8 @@ def empirical_ratio(
     instance's blocks are keyed [seed, block id] and spread over `workers`;
     trial t of a callable source is one row keyed [seed, t, 1], run here
     (numpy drops a trailing 0, so a tag 0 would repeat the key [seed, t]
-    that `adversary_tree_source` seeds tree t from).  Greedy runs one row
-    per instance.
+    that `adversary_tree_source` seeds tree t from).  Greedy runs its one
+    arrival-position row per instance here, in no chunk.
     """
     check_trials(trials)
     if algorithm not in ("ranking", "greedy"):
@@ -351,13 +347,16 @@ def empirical_ratio(
         inst = source if fixed else source(trial)
         opt = _opt_size(inst)
         if algorithm == "greedy":
-            args = [(inst, None, trials if fixed else 1)]
-        elif fixed:
-            blocks = chunk_sizes(trials, inst.n)
-            args = [(inst, [seed, cid], size) for cid, size in enumerate(blocks)]
+            arrival = np.asarray(inst.arrival_pos, dtype=float)[None]
+            matched = run_ranking_batch(inst, arrival)[1].sum()
+            sizes = np.full(trials if fixed else 1, matched)
         else:
-            args = [(inst, [seed, trial, 1], 1)]
-        sizes = np.concatenate(run_chunked(_sizes_chunk, args, workers=workers))
+            if fixed:
+                blocks = chunk_sizes(trials, inst.n)
+                args = [(inst, [seed, cid], size) for cid, size in enumerate(blocks)]
+            else:
+                args = [(inst, [seed, trial, 1], 1)]
+            sizes = np.concatenate(list(run_chunked(_sizes_chunk, args, workers=workers)))
         ratios.append(sizes / opt if opt else np.ones(len(sizes)))
 
     arr = np.concatenate(ratios)

@@ -96,9 +96,11 @@ def max_matching_general(instance: Instance) -> OracleResult:
 
     One alternating-tree search per free vertex, from a greedy start.  A
     vertex with no augmenting path has none after later augmentations
-    either, so a single pass over the vertices is exact.  Blossom bases are
-    a union-find with path compression: a contraction links the bases on
-    its two paths to the new base, and touches no other vertex of the tree.
+    either, so a single pass over the vertices is exact.  A failed search's
+    tree (a Hungarian tree) lies on no later augmenting path either, so
+    later searches skip its vertices.  Blossom bases are a union-find with
+    path compression: a contraction links the bases on its two paths to
+    the new base, and touches no other vertex of the tree.
     """
     n = instance.n
     match = _greedy_start(instance)
@@ -113,10 +115,12 @@ def max_matching_general(instance: Instance) -> OracleResult:
     # an even vertex, and base[v] a union-find link towards the base of the
     # blossom holding v (a base links to itself).  pos[v] is v's index in
     # the search's `tree` list; it is set whenever v joins a tree.
+    # hungarian[v] marks v as a vertex of a failed search's tree.
     parent = [-1] * n
     base = list(range(n))
     outer = [False] * n
     pos = [0] * n
+    hungarian = [False] * n
 
     def find(v: int) -> int:
         root = base[v]
@@ -158,6 +162,8 @@ def max_matching_general(instance: Instance) -> OracleResult:
             v = queue.popleft()
             bv = find(v)
             for w in adj[v]:
+                if hungarian[w]:
+                    continue
                 # find(w), without the call when w links to bv or to a base
                 bw = base[w]
                 if bw != bv and base[bw] != bw:
@@ -202,10 +208,12 @@ def max_matching_general(instance: Instance) -> OracleResult:
         if match[root] == -1:
             tree = [root]
             search(root, tree)
+            failed = match[root] == -1
             for x in tree:
                 parent[x] = -1
                 base[x] = x
                 outer[x] = False
+                hungarian[x] = failed
     return _result(instance, match)
 
 

@@ -32,6 +32,14 @@ def traced_peak_mib(fn) -> float:
         tracemalloc.stop()
 
 
+def without_vertex(inst: Instance, w: int) -> Instance:
+    """The instance with w's edges dropped.  An isolated w picks nobody and
+    is never picked, so Ranking's run on it is the run without w, built
+    without any removal code."""
+    keep = (inst.edge_array != w).all(axis=1)
+    return build_instance(inst.n, inst.stream, inst.edge_array[keep], inst.bipartition)
+
+
 def triangle() -> Instance:
     return build_instance(
         3, [A(0), A(1), A(2), D(0), D(1), D(2)], [(0, 1), (1, 2), (0, 2)]

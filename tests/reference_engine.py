@@ -1,12 +1,14 @@
 """Literal references for the scalar engine and the per-run dual rule.
 
 `reference_run_ranking` walks the whole event stream and compares
-candidates through `RankAssignment.key`, one call per candidate.
+candidates through `RankAssignment.key`, one call per candidate; it
+returns the run's trace, written at each deadline, beside the outcome.
 `reference_assign_duals` evaluates g and h on one passive partner's rank at
 a time and finds each victim by a full run without the active vertex.
 `reference_marginal_rank` reads the roles of a full reference run without
 v.  `fomlab.engine.run_ranking`, `fomlab.dual.assign_duals` and
-`fomlab.dual.marginal_rank` must equal them with `==`.
+`fomlab.dual.marginal_rank` must equal them with `==`, and
+`fomlab.engine.ranking_trace` must equal the reference trace.
 """
 
 from __future__ import annotations
@@ -26,47 +28,40 @@ def reference_run_ranking(
     ranks: RankAssignment,
     *,
     removed: Optional[int] = None,
-    with_trace: bool = False,
-) -> MatchingOutcome:
+) -> tuple[MatchingOutcome, tuple[str, ...]]:
     if len(ranks.ranks) != instance.n:
         raise RankMissing(
             f"rank assignment covers {len(ranks.ranks)} of {instance.n} vertices"
         )
     partner = [-1] * instance.n
     role: list[Optional[Role]] = [None] * instance.n
-    trace: Optional[list[str]] = [] if with_trace else None
+    trace: list[str] = []
     for ev in instance.events:
         v = ev.vertex
         if ev.kind is not EventKind.DEADLINE or v == removed:
             continue
         if partner[v] >= 0:
-            if trace is not None:
-                trace.append(_trace_line(v, partner[v], "already-matched", ranks))
+            trace.append(_trace_line(v, partner[v], Role.PASSIVE, ranks))
             continue
         candidates = [
             u for u in instance.adj[v] if partner[u] < 0 and u != removed
         ]
-        u = min(candidates, key=ranks.key) if candidates else None
-        if u is not None:
+        u = min(candidates, key=ranks.key) if candidates else -1
+        if u >= 0:
             partner[v] = u
             partner[u] = v
             role[v] = Role.ACTIVE
             role[u] = Role.PASSIVE
-        if trace is not None:
-            trace.append(_trace_line(v, u, "match", ranks))
-    return MatchingOutcome(
-        partner=tuple(partner),
-        role=tuple(role),
-        removed=removed,
-        trace=tuple(trace) if trace is not None else None,
-    )
+        trace.append(_trace_line(v, u, Role.ACTIVE, ranks))
+    outcome = MatchingOutcome(partner=tuple(partner), role=tuple(role), removed=removed)
+    return outcome, tuple(trace)
 
 
 def reference_marginal_rank(
     instance: Instance, ranks_others: RankAssignment, v: int
 ) -> MarginalRank:
     """`marginal_rank`'s one-run rule, with passive read from the roles."""
-    without = reference_run_ranking(instance, ranks_others, removed=v)
+    without, _ = reference_run_ranking(instance, ranks_others, removed=v)
     dpos = instance.deadline_pos
     eligible = [
         u
@@ -84,7 +79,7 @@ def reference_marginal_rank(
 def reference_find_victim(
     instance: Instance, ranks: RankAssignment, w: int, outcome: MatchingOutcome
 ) -> Optional[int]:
-    without = reference_run_ranking(instance, ranks, removed=w)
+    without, _ = reference_run_ranking(instance, ranks, removed=w)
     victims = [
         z
         for z in instance.adj[w]
@@ -98,7 +93,7 @@ def reference_find_victim(
 def reference_assign_duals(
     instance: Instance, ranks: RankAssignment, charging: ChargingFunction
 ) -> DualAssignment:
-    outcome = reference_run_ranking(instance, ranks)
+    outcome, _ = reference_run_ranking(instance, ranks)
     n = instance.n
     gain = [0.0] * n
     comp_in = [0.0] * n

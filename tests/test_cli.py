@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fomlab.engine import ranks_from_values, run_ranking
+from fomlab.engine import ranking_trace, ranks_from_values, run_ranking
 from fomlab.instance import load_instance
 
 CLI = [sys.executable, "-m", "fomlab.cli"]
@@ -85,7 +85,7 @@ def test_run_ranking_and_greedy(instance_file):
     with open(instance_file) as fp:
         inst = load_instance(fp)
     ranks = ranks_from_values(inst.arrival_pos)
-    assert trace == list(run_ranking(inst, ranks, with_trace=True).trace)
+    assert trace == list(ranking_trace(inst, ranks, run_ranking(inst, ranks)))
     assert len(trace) == inst.n
 
 

@@ -7,6 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import fomlab._parallel as par
 from conftest import (
     complete,
     cycle,
@@ -16,6 +17,7 @@ from conftest import (
     small_instance_collection,
     traced_peak_mib,
     triangle,
+    without_vertex,
 )
 from fomlab.charging import (
     B2_CONSTANTS,
@@ -540,8 +542,9 @@ def test_batch_alphas_match_scalar(small_instances):
 
 def _alphas_full_replay(inst, charging, matrix):
     """Reference for simulate_alphas_batch: one full counterfactual replay
-    of every row per active vertex.  Also returns the number of (row,
-    vertex) pairs that paid a compensation."""
+    of every row per active vertex w, on the instance with w's edges
+    dropped.  Also returns the number of (row, vertex) pairs that paid a
+    compensation."""
     trials, n = matrix.shape
     partner, active = run_ranking_batch(inst, matrix)
     alpha = np.zeros((trials, n))
@@ -558,7 +561,7 @@ def _alphas_full_replay(inst, charging, matrix):
     for w in range(n):
         if not active[:, w].any() or not inst.adj[w]:
             continue
-        partner_wo, _ = run_ranking_batch(inst, matrix, removed=w)
+        partner_wo, _ = run_ranking_batch(without_vertex(inst, w), matrix)
         victim = np.full(trials, -1, dtype=np.int64)
         for z in inst.adj[w]:
             hit = active[:, w] & (partner[:, z] < 0) & (partner_wo[:, z] >= 0)
@@ -1012,6 +1015,21 @@ def test_verify_feasibility_flags_unreachable_target():
     report = verify_feasibility(inst, EXPONENTIAL, 0.99, 5000, 3)
     assert report.failing
     assert not report.passed
+
+
+def test_verify_feasibility_folds_each_chunk_in_as_it_arrives(monkeypatch):
+    # 16-row chunks: 256 chunks at 4096 trials, 16 at 256.  Each chunk
+    # returns two floats per edge (7 KiB on complete(30)'s 435 edges); held
+    # until a final reduction, 256 of them would add 1.7 MiB to the peak
+    monkeypatch.setattr(par, "CHUNK_SIZE", 16)
+    inst = complete(30)
+
+    def run(trials):
+        verify_feasibility(inst, PIECEWISE, 0.5211, trials, 4, workers=1)
+
+    run(16)  # the instance's cached views and the charging check, built once
+    few, many = traced_peak_mib(lambda: run(256)), traced_peak_mib(lambda: run(4096))
+    assert many - few <= 256 / 1024
 
 
 def test_figure_one_scenario_victim_persists():

@@ -13,6 +13,7 @@ from conftest import (
     small_instance_collection,
     star,
     triangle,
+    without_vertex,
 )
 from fomlab import engine
 from fomlab.engine import (
@@ -21,6 +22,7 @@ from fomlab.engine import (
     Side,
     drawn_ranking_sizes,
     rank_positions,
+    ranking_trace,
     ranks_from_values,
     run_greedy,
     run_ranking,
@@ -185,8 +187,8 @@ def test_just_below_side_breaks_ties():
 
 def test_trace_format():
     inst = single_edge()
-    out = run_ranking(inst, ranks_from_values([0.25, 0.125]), with_trace=True)
-    assert out.trace == (
+    ranks = ranks_from_values([0.25, 0.125])
+    assert ranking_trace(inst, ranks, run_ranking(inst, ranks)) == (
         "deadline v=0 decision=match partner=1 rank=0.125",
         "deadline v=1 decision=already-matched partner=0 rank=0.25",
     )
@@ -195,21 +197,35 @@ def test_trace_format():
 def test_run_ranking_matches_event_walk_exhaustively():
     """Every rank order of every n <= 5 instance, with ties and just-below
     sides, every removed vertex and traces: the deadline-order walk equals
-    the event walk of the reference."""
+    the event walk of the reference, and the trace read off its roles
+    equals the one the reference writes at each deadline."""
     for inst in small_instance_collection():
         if inst.n > 5:
             continue
         for order in enumerate_rank_orders(inst):
             for ranks in reference_rank_variants(order):
                 for removed in [None, *range(inst.n)]:
-                    for with_trace in (False, True):
-                        got = run_ranking(
-                            inst, ranks, removed=removed, with_trace=with_trace
-                        )
-                        want = reference_run_ranking(
-                            inst, ranks, removed=removed, with_trace=with_trace
-                        )
-                        assert got == want
+                    got = run_ranking(inst, ranks, removed=removed)
+                    want, trace = reference_run_ranking(inst, ranks, removed=removed)
+                    assert got == want
+                    assert ranking_trace(inst, ranks, got) == trace
+
+
+def test_removed_run_equals_the_run_without_the_vertex_edges():
+    """Every rank order of every n <= 5 instance, with ties and just-below
+    sides, and every w: the run with w removed is the run on the instance
+    with w's edges dropped, where w is isolated."""
+    for inst in small_instance_collection():
+        if inst.n > 5:
+            continue
+        dropped = [without_vertex(inst, w) for w in range(inst.n)]
+        for order in enumerate_rank_orders(inst):
+            for ranks in reference_rank_variants(order):
+                for w in range(inst.n):
+                    got = run_ranking(inst, ranks, removed=w)
+                    want = run_ranking(dropped[w], ranks)
+                    assert (got.partner, got.role) == (want.partner, want.role)
+                    assert got.unmatched == want.unmatched - {w}
 
 
 def test_run_ranking_matches_event_walk_random():
@@ -224,10 +240,10 @@ def test_run_ranking_matches_event_walk_random():
         for values in (rng.random(n), rng.integers(0, 3, n) / 2):
             ranks = ranks_from_values(values, sides)
             for removed in (None, int(rng.integers(0, n))):
-                got = run_ranking(inst, ranks, removed=removed, with_trace=True)
-                assert got == reference_run_ranking(
-                    inst, ranks, removed=removed, with_trace=True
-                )
+                got = run_ranking(inst, ranks, removed=removed)
+                want, trace = reference_run_ranking(inst, ranks, removed=removed)
+                assert got == want
+                assert ranking_trace(inst, ranks, got) == trace
 
 
 def test_run_ranking_matches_event_walk_every_removed():
@@ -237,7 +253,7 @@ def test_run_ranking_matches_event_walk_every_removed():
     for inst, ranks in reference_cases():
         for removed in [None, *range(inst.n)]:
             got = run_ranking(inst, ranks, removed=removed)
-            want = reference_run_ranking(inst, ranks, removed=removed)
+            want, _ = reference_run_ranking(inst, ranks, removed=removed)
             assert got == want, (inst, ranks, removed)
             role = want.role
             assert got.pairs == {
@@ -252,17 +268,10 @@ def test_run_ranking_matches_event_walk_every_removed():
 
 @pytest.mark.parametrize("removed", [99, 6, -1, -7])
 def test_scalar_removed_out_of_range(removed):
-    # scalar and batch runs reject the same vertices
     inst = random_instance(6, 0.6, False, 1)
     ranks = sample_ranks(inst, 2)
-    runs = [
-        lambda: run_ranking(inst, ranks, removed=removed),
-        lambda: run_ranking(inst, ranks, removed=removed, with_trace=True),
-        lambda: run_ranking_batch(inst, np.array([ranks.ranks]), removed),
-    ]
-    for run in runs:
-        with pytest.raises(IndexOutOfRange):
-            run()
+    with pytest.raises(IndexOutOfRange):
+        run_ranking(inst, ranks, removed=removed)
 
 
 def test_batch_matches_scalar_exhaustively():
@@ -286,7 +295,7 @@ def test_batch_matches_scalar_random():
         matrix = rng.random((50, inst.n))
         partner, active = run_ranking_batch(inst, matrix)
         removed = inst.n // 2
-        partner_wo, _ = run_ranking_batch(inst, matrix, removed=removed)
+        partner_wo, _ = run_ranking_batch(without_vertex(inst, removed), matrix)
         for i in range(50):
             ranks = ranks_from_values(matrix[i])
             out = run_ranking(inst, ranks)
@@ -302,23 +311,6 @@ def test_batch_rejects_nonfinite_ranks(bad):
     matrix = np.array([[0.5, 0.3, 0.3], [0.5, bad, 0.3]])
     with pytest.raises(ParamsInvalid):
         run_ranking_batch(inst, matrix)
-    with pytest.raises(ParamsInvalid):
-        run_ranking_batch(inst, matrix, removed=0)
-
-
-def test_batch_removed_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        run_ranking_batch(path(3), np.zeros((1, 3)), removed=3)
-
-
-def test_batch_checks_removed_before_allocating(monkeypatch):
-    def no_positions(*args, **kwargs):
-        raise AssertionError("rank positions allocated before the check")
-
-    monkeypatch.setattr(engine, "rank_positions", no_positions)
-    for removed in (-1, 3):
-        with pytest.raises(IndexOutOfRange):
-            run_ranking_batch(path(3), np.zeros((1, 3)), removed=removed)
 
 
 # -- the rank-position kernel against the float argmin kernel it replaced -------
@@ -326,7 +318,8 @@ def test_batch_checks_removed_before_allocating(monkeypatch):
 
 def _argmin_kernel(instance, ranks_matrix, removed=None):
     """Reference: per deadline, the argmin of the unmatched neighbours' ranks
-    over sorted neighbour ids (ties to the smaller id), row-major."""
+    over sorted neighbour ids (ties to the smaller id), row-major, with
+    `removed` skipped."""
     trials, n = ranks_matrix.shape
     partner = np.full((trials, n), -1, dtype=np.int32)
     active = np.zeros((trials, n), dtype=bool)
@@ -393,11 +386,14 @@ def test_rank_position_kernel_matches_argmin_kernel(rows):
         for matrix in (plain, _with_ties(plain)):
             for removed in (None, int(rng.integers(inst.n))) if inst.n else (None,):
                 want = _argmin_kernel(inst, matrix, removed)
+                # the kernel runs without `removed` on the instance without
+                # its edges
+                run_on = inst if removed is None else without_vertex(inst, removed)
                 # default argsort blocks, then blocks of 32 rows
                 for block_elements in (engine.ARGSORT_ELEMENTS, 32 * inst.n):
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(engine, "ARGSORT_ELEMENTS", block_elements)
-                        got = run_ranking_batch(inst, matrix, removed)
+                        got = run_ranking_batch(run_on, matrix)
                     assert got[0].shape == (rows, inst.n)
                     assert got[0].dtype == np.int32 and got[1].dtype == bool
                     assert np.array_equal(got[0], want[0]), (inst.n, removed)
@@ -427,12 +423,8 @@ def test_pickled_instance_keeps_later_and_kernel_output():
     for got, want in zip(copy.later, inst.later):
         assert np.array_equal(got, want)
     matrix = _with_ties(np.random.default_rng(8).random((40, inst.n)))
-    for removed in (None, 7):
-        for got, want in zip(
-            run_ranking_batch(copy, matrix, removed),
-            run_ranking_batch(inst, matrix, removed),
-        ):
-            assert np.array_equal(got, want)
+    for got, want in zip(run_ranking_batch(copy, matrix), run_ranking_batch(inst, matrix)):
+        assert np.array_equal(got, want)
 
 
 def test_drawn_positions_equal_positions_of_the_drawn_matrix():

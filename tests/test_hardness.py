@@ -329,8 +329,9 @@ def test_ratio_sizes_equal_the_batch_kernel_on_the_same_rows():
                 mp.setattr(engine, "ARGSORT_ELEMENTS", block_rows * inst.n)
                 got = hardness._sizes_chunk((inst, [4, 2], rows))
             assert np.array_equal(got, want)
-        greedy = hardness._sizes_chunk((inst, None, 3))
-        assert greedy.tolist() == [run_greedy(inst).size] * 3
+        greedy = run_greedy(inst).size / max_matching_general(inst).size
+        mean, stderr = empirical_ratio(inst, "greedy", 3, 0)
+        assert mean == pytest.approx(greedy, abs=1e-15) and stderr < 1e-15
 
 
 def test_ratio_on_a_fixed_instance_memory_stays_flat():

@@ -1,9 +1,10 @@
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import complete, cycle, path, single_edge, triangle
+from conftest import complete, cycle, path, single_edge, star, triangle
 from fomlab.errors import InvariantViolated, NotBipartite, TooLarge
 from fomlab.hardness import (
     AdversaryTreeParams,
@@ -324,6 +325,29 @@ def test_blossom_builds_the_tuple_adjacency_only_for_a_search():
     assert "adj" in inst.__dict__
     assert res == reference_max_matching_general(inst)
     assert res.witness == {(0, 4), (1, 5), (2, 3)}
+
+
+class _CountingRows(tuple):
+    """An adjacency tuple that counts the reads of each row."""
+
+    def __getitem__(self, v):
+        self.reads[v] += 1
+        return tuple.__getitem__(self, v)
+
+
+def test_blossom_skips_the_trees_of_failed_searches():
+    # the greedy start matches leaf 1 to the centre 0; the searches from
+    # leaves 2 to 5 each reach 0 and its mate 1, and fail.  Each search reads
+    # its root's row; only the first reads 1's, as later ones skip the
+    # failed tree {2, 0, 1}, which no augmenting path can cross
+    inst = star(5)
+    assert _greedy_start(inst) == [1, 0, -1, -1, -1, -1]
+    rows = _CountingRows(inst.adj)
+    rows.reads = Counter()
+    inst.__dict__["adj"] = rows
+    res = max_matching_general(inst)
+    assert res.size == 1 and res.witness == {(0, 1)}
+    assert max(rows.reads.values()) <= 2, rows.reads
 
 
 def test_witness_check_rejects_non_matching():

@@ -87,12 +87,30 @@ def test_run_chunked_sizes_its_pool_by_the_chunk_count(monkeypatch):
     # starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     _RecordingPool.sizes = []
-    assert run_chunked(abs, [-1, -2, -3], workers=MAX_WORKERS) == [1, 2, 3]
-    assert run_chunked(abs, [-4], workers=MAX_WORKERS) == [4]
-    assert run_chunked(abs, [-1, -2], workers=1) == [1, 2]
+    assert list(run_chunked(abs, [-1, -2, -3], workers=MAX_WORKERS)) == [1, 2, 3]
+    assert list(run_chunked(abs, [-4], workers=MAX_WORKERS)) == [4]
+    assert list(run_chunked(abs, [-1, -2], workers=1)) == [1, 2]
     assert _RecordingPool.sizes == [3]
+    # the worker count is checked when the call is made, not when it is read
     with pytest.raises(ParamsInvalid):
         run_chunked(abs, [-1], workers="many")
+
+
+def test_run_chunked_runs_each_chunk_as_its_result_is_read(monkeypatch):
+    # serially and through a (recording) pool, a chunk runs when its result
+    # is read, so a caller that folds results in holds one at a time
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    for workers in (1, MAX_WORKERS):
+        ran = []
+
+        def record(x):
+            ran.append(x)
+            return -x
+
+        results = run_chunked(record, [1, 2, 3], workers=workers)
+        assert ran == []
+        assert next(results) == -1 and ran == [1]
+        assert list(results) == [-2, -3] and ran == [1, 2, 3]
 
 
 def test_importing_the_cli_loads_no_multiprocessing():

@@ -14,6 +14,7 @@ import pytest
 
 import fomlab.dual
 import fomlab.engine
+from conftest import without_vertex
 from fomlab.charging import PIECEWISE
 from fomlab.instance import random_instance
 
@@ -45,7 +46,8 @@ def test_batch_hooks_accept_the_kernel_result(tracing):
     assert tracer.counts["engine.batch_steps"] > 0
     tracer._after_dual_batch(base, (inst, ranks), {})
     w = max(range(inst.n), key=lambda v: len(inst.adj[v]))
-    replay = fomlab.engine.run_ranking_batch(inst, ranks, removed=w)
+    # a replay without w: the run on the instance with w's edges dropped
+    replay = fomlab.engine.run_ranking_batch(without_vertex(inst, w), ranks)
     tracer._after_dual_batch(replay, (inst, ranks), {"removed": w})
     assert tracer.counts["dual.replay_rows"] == 8
 
